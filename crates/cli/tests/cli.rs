@@ -147,3 +147,20 @@ fn advise_recommends_a_strategy() {
     // A 4-week deployment should never pay for a 1-year reservation.
     assert!(!out.contains("recommendation: SR"), "{out}");
 }
+
+#[test]
+fn validate_rejects_deeply_nested_json_with_exit_2() {
+    // Deep enough to overflow the stack of an unbounded recursive parser.
+    let dir = std::env::temp_dir().join("hcloud_cli_test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("deep.json");
+    let depth = 300_000;
+    std::fs::write(&path, "[".repeat(depth) + &"]".repeat(depth)).expect("write");
+    let out = cli()
+        .args(["validate", "--file", path.to_str().expect("utf-8 path")])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("nest deeper than"), "{err}");
+}

@@ -288,6 +288,9 @@ pub struct Scheduler<'a> {
     /// an order floating-point accumulation makes order-bearing.
     running: SlotMap<RunningJob>,
     running_by_id: BTreeMap<JobId, SlotKey>,
+    /// Scratch buffer for the tick's snapshot of running job ids, kept
+    /// across ticks so the per-tick job update allocates nothing.
+    tick_jobs: Vec<JobId>,
     /// Scenario job id → index into `scenario.jobs()`, built once at
     /// construction so typed arrivals resolve without trusting raw
     /// indices (`Scenario::from_jobs` permits arbitrary ids).
@@ -428,6 +431,7 @@ impl<'a> Scheduler<'a> {
             queue: VecDeque::new(),
             running: SlotMap::new(),
             running_by_id: BTreeMap::new(),
+            tick_jobs: Vec::new(),
             job_index,
             outcomes: Vec::new(),
             od_allocated: StepSeries::new(0.0),
@@ -2316,11 +2320,15 @@ impl<'a> Scheduler<'a> {
 
         // 2. Update running jobs, ascending by scenario id — the iteration
         // order of the old id-keyed map, which floating-point accumulation
-        // makes order-bearing.
-        let jids: Vec<JobId> = self.running_by_id.keys().copied().collect();
-        for jid in jids {
-            self.update_job(jid, now, events)?;
-        }
+        // makes order-bearing. The snapshot lives in a reused buffer.
+        let mut jids = std::mem::take(&mut self.tick_jobs);
+        jids.clear();
+        jids.extend(self.running_by_id.keys().copied());
+        let updated = jids
+            .iter()
+            .try_for_each(|&jid| self.update_job(jid, now, events));
+        self.tick_jobs = jids;
+        updated?;
 
         // 2b. Tenancy: starvation-relief preemption, then drain the gate.
         if self.tenancy.is_some() {

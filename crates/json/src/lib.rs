@@ -278,11 +278,27 @@ impl fmt::Display for Value {
 // ---------------------------------------------------------------------
 // Parsing
 
-/// A parse failure: byte offset plus message.
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so an unbounded document could overflow the
+/// stack; the documents this repo writes nest at most 5 levels deep.
+pub const MAX_DEPTH: usize = 128;
+
+/// The class of a parse failure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// The input is not well-formed JSON.
+    Syntax,
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
+}
+
+/// A parse failure: byte offset, class and message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset of the failure.
     pub at: usize,
+    /// What kind of failure it is.
+    pub kind: JsonErrorKind,
     /// What went wrong.
     pub message: String,
 }
@@ -298,14 +314,36 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn err<T>(&self, message: impl Into<String>) -> Result<T, JsonError> {
         Err(JsonError {
             at: self.pos,
+            kind: JsonErrorKind::Syntax,
             message: message.into(),
         })
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError {
+                at: self.pos,
+                kind: JsonErrorKind::TooDeep,
+                message: format!("arrays and objects nest deeper than {MAX_DEPTH} levels"),
+            });
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn skip_ws(&mut self) {
@@ -343,8 +381,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => self.err(format!("unexpected character {:?}", c as char)),
             None => self.err("unexpected end of input"),
@@ -474,6 +512,7 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -547,6 +586,29 @@ mod tests {
         assert!(parse("[1, 2").is_err());
         assert!(parse("[1] trailing").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_without_recursing_past_the_limit() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let ok = parse(&nest(MAX_DEPTH)).expect("the limit itself parses");
+        let mut v = &ok;
+        for _ in 1..MAX_DEPTH {
+            v = &v.as_array().expect("array")[0];
+        }
+        assert_eq!(v, &Value::Array(Vec::new()));
+        let e = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.kind, JsonErrorKind::TooDeep);
+        assert_eq!(e.at, MAX_DEPTH);
+        // Deep enough to overflow any thread stack without the limit.
+        let e = parse(&nest(300_000)).unwrap_err();
+        assert_eq!(e.kind, JsonErrorKind::TooDeep);
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert_eq!(parse(&objects).unwrap_err().kind, JsonErrorKind::TooDeep);
+        // Siblings do not add up: depth is nesting, not count.
+        let wide = format!("[{}]", vec![nest(MAX_DEPTH - 1); 50].join(","));
+        assert!(parse(&wide).is_ok());
+        assert_eq!(parse("[1, 2").unwrap_err().kind, JsonErrorKind::Syntax);
     }
 
     #[test]

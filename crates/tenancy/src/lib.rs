@@ -27,7 +27,7 @@
 //! raw `u64`, so every layer above (workloads, core, bench, cli) can
 //! speak tenancy without dependency cycles.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use hcloud_sim::{SimDuration, SimTime};
 use rand::Rng;
@@ -249,7 +249,8 @@ struct PendingJob {
 /// One job the pool has admitted.
 #[derive(Debug, Clone, Copy)]
 struct RunningRec {
-    tenant: u64,
+    /// The tenant's position in plan order.
+    pos: usize,
     cores: u32,
     /// Monotone admission sequence; preemption evicts the most recently
     /// admitted borrower first.
@@ -374,41 +375,72 @@ pub struct Preemption {
 /// ledger. The scheduler is the single driver — it gates arrivals,
 /// reports releases, drains after capacity frees, and executes the
 /// preemptions the starvation scan proposes.
+///
+/// Cost model: besides an `O(log n)` id lookup, each call touches only
+/// the tenants that have work. Two ordered index sets over plan
+/// positions — `needy` (below guarantee, work pending) and `backlog`
+/// (`Open`, work pending) — are refreshed whenever a tenant's running
+/// cores or pending queue change, so the DRR passes and the starvation
+/// scan never walk idle tenants. A tenant's membership changes only when
+/// that tenant itself is touched, which is what keeps the visit order
+/// (and so every floating-point sum) identical to a full cyclic scan.
+///
+/// Expects a validated plan: with duplicate tenant ids the last spec
+/// wins and the earlier duplicates' slots never receive work.
 #[derive(Debug, Clone)]
 pub struct FairShare {
-    tenants: BTreeMap<u64, TenantQueue>,
+    /// Tenant queues in plan order, which is the DRR rotation order.
+    queues: Vec<TenantQueue>,
+    /// Tenant id → position in `queues`; iterated for id-ordered output.
+    index: BTreeMap<u64, usize>,
     assignments: BTreeMap<u64, u64>,
     running: BTreeMap<u64, RunningRec>,
-    /// DRR rotation order (tenant ids); the cursor persists across
-    /// drains so no tenant is structurally favored.
-    order: Vec<u64>,
+    /// Positions of non-closed tenants below guarantee with work pending.
+    needy: BTreeSet<usize>,
+    /// Positions of `Open` tenants with work pending.
+    backlog: BTreeSet<usize>,
+    /// Where the next DRR round starts; it persists across drains so no
+    /// tenant is structurally favored.
     cursor: usize,
     pool_cores: u64,
     total_running: u64,
+    /// Weight summed over non-closed tenants in id order.
+    share_weight: f64,
     quantum: f64,
     starvation: SimDuration,
     admit_seq: u64,
+    visits: u64,
 }
 
 impl FairShare {
     pub fn new(plan: &TenancyPlan) -> FairShare {
-        let mut tenants = BTreeMap::new();
-        let mut order = Vec::with_capacity(plan.tenants.len());
-        for spec in &plan.tenants {
-            order.push(spec.id.0);
-            tenants.insert(spec.id.0, TenantQueue::new(spec.clone()));
-        }
+        let queues: Vec<TenantQueue> = plan.tenants.iter().cloned().map(TenantQueue::new).collect();
+        let index: BTreeMap<u64, usize> = queues
+            .iter()
+            .enumerate()
+            .map(|(pos, q)| (q.spec.id.0, pos))
+            .collect();
+        let share_weight = index
+            .values()
+            .map(|&p| &queues[p].spec)
+            .filter(|s| s.state != QueueState::Closed)
+            .map(|s| s.weight)
+            .sum();
         FairShare {
-            tenants,
+            queues,
+            index,
             assignments: plan.assignments.clone(),
             running: BTreeMap::new(),
-            order,
+            needy: BTreeSet::new(),
+            backlog: BTreeSet::new(),
             cursor: 0,
             pool_cores: plan.pool_cores as u64,
             total_running: 0,
+            share_weight,
             quantum: plan.quantum,
             starvation: SimDuration::from_secs_f64(plan.starvation_secs),
             admit_seq: 0,
+            visits: 0,
         }
     }
 
@@ -426,28 +458,47 @@ impl FairShare {
     }
 
     pub fn queue(&self, tenant: TenantId) -> Option<&TenantQueue> {
-        self.tenants.get(&tenant.0)
+        self.index.get(&tenant.0).map(|&p| &self.queues[p])
+    }
+
+    /// Tenant queues visited by [`drain`] so far: a deterministic op
+    /// count that grows with the tenants that have work, never with the
+    /// plan size.
+    ///
+    /// [`drain`]: FairShare::drain
+    pub fn tenant_visits(&self) -> u64 {
+        self.visits
     }
 
     /// A tenant's weighted fair share of the pool, over non-closed
     /// tenants.
     pub fn fair_share(&self, tenant: TenantId) -> f64 {
-        let total: f64 = self
-            .tenants
-            .values()
-            .filter(|q| q.spec.state != QueueState::Closed)
-            .map(|q| q.spec.weight)
-            .sum();
-        match self.tenants.get(&tenant.0) {
-            Some(q) if total > 0.0 => self.pool_cores as f64 * q.spec.weight / total,
-            _ => 0.0,
+        self.index.get(&tenant.0).map_or(0.0, |&p| self.share_at(p))
+    }
+
+    fn share_at(&self, pos: usize) -> f64 {
+        if self.share_weight > 0.0 {
+            self.pool_cores as f64 * self.queues[pos].spec.weight / self.share_weight
+        } else {
+            0.0
         }
     }
 
-    /// Whether any tenant is below guarantee with work pending; while
-    /// true, the pool grants no new borrows.
-    fn any_needy(&self) -> bool {
-        self.tenants.values().any(|q| q.needy())
+    /// Re-file one tenant in the `needy` and `backlog` sets after its
+    /// running cores or pending queue changed.
+    fn refresh(&mut self, pos: usize) {
+        let q = &self.queues[pos];
+        let backlogged = q.spec.state == QueueState::Open && !q.pending.is_empty();
+        if q.needy() {
+            self.needy.insert(pos);
+        } else {
+            self.needy.remove(&pos);
+        }
+        if backlogged {
+            self.backlog.insert(pos);
+        } else {
+            self.backlog.remove(&pos);
+        }
     }
 
     /// Gate one arriving (or re-arriving) job. Admission requires cap
@@ -458,10 +509,11 @@ impl FairShare {
         let Some(&tid) = self.assignments.get(&job) else {
             return Gate::Bypass;
         };
-        let any_needy = self.any_needy();
-        let Some(q) = self.tenants.get_mut(&tid) else {
+        let Some(&pos) = self.index.get(&tid) else {
             return Gate::Bypass;
         };
+        let any_needy = !self.needy.is_empty();
+        let q = &mut self.queues[pos];
         if q.spec.state == QueueState::Closed {
             return Gate::Bypass;
         }
@@ -483,14 +535,14 @@ impl FairShare {
         let borrow_ok = !borrowed || (q.spec.state == QueueState::Open && !any_needy);
         // FIFO within the queue: once anything is pending, later jobs
         // line up behind it rather than jumping the gate.
-        if cap_ok && pool_ok && borrow_ok && q.pending.is_empty() {
+        let verdict = if cap_ok && pool_ok && borrow_ok && q.pending.is_empty() {
             q.note_admit(cores, borrowed);
             self.total_running += cores as u64;
             self.admit_seq += 1;
             self.running.insert(
                 job,
                 RunningRec {
-                    tenant: tid,
+                    pos,
                     cores,
                     seq: self.admit_seq,
                     borrowed,
@@ -512,30 +564,68 @@ impl FairShare {
                 tenant: TenantId(tid),
                 depth: q.pending.len(),
             }
-        }
+        };
+        self.refresh(pos);
+        verdict
     }
 
     /// A tenanted job left the pool (finished, or was preempted).
     /// Returns its tenant; `None` for untenanted/bypassed jobs.
     pub fn release(&mut self, job: u64) -> Option<TenantId> {
         let rec = self.running.remove(&job)?;
-        if let Some(q) = self.tenants.get_mut(&rec.tenant) {
-            q.running_cores = q.running_cores.saturating_sub(rec.cores as u64);
-        }
+        let q = &mut self.queues[rec.pos];
+        q.running_cores = q.running_cores.saturating_sub(rec.cores as u64);
+        let tenant = q.spec.id;
         self.total_running = self.total_running.saturating_sub(rec.cores as u64);
-        Some(TenantId(rec.tenant))
+        self.refresh(rec.pos);
+        Some(tenant)
     }
 
-    /// Forget a job that never reached the pool (it is leaving the
-    /// system from a tenant queue). Returns true if it was pending.
-    pub fn cancel_pending(&mut self, job: u64) -> bool {
-        for q in self.tenants.values_mut() {
-            if let Some(pos) = q.pending.iter().position(|p| p.job == job) {
-                q.pending.remove(pos);
-                return true;
-            }
+    /// The next member of `set` in a DRR round that starts at `cursor`
+    /// and wraps, after position `prev` (`None` at the start of the
+    /// round). Equivalent to walking every position cyclically and
+    /// skipping non-members.
+    fn next_in_round(set: &BTreeSet<usize>, cursor: usize, prev: Option<usize>) -> Option<usize> {
+        let first = |from: usize| {
+            set.range(from..)
+                .next()
+                .or_else(|| set.range(..cursor).next())
+        };
+        match prev {
+            None => first(cursor),
+            Some(p) if p >= cursor => first(p + 1),
+            Some(p) => set.range(p + 1..cursor).next(),
         }
-        false
+        .copied()
+    }
+
+    /// Pops tenant `pos`'s head job into the pool and reports it.
+    fn release_head(&mut self, pos: usize, now: SimTime, borrowed: bool) -> Release {
+        let q = &mut self.queues[pos];
+        let head = q.pending.pop_front().expect("released tenant has work");
+        q.note_admit(head.cores, borrowed);
+        q.stat.drained += 1;
+        let waited = now.saturating_since(head.enqueued);
+        q.stat.total_queue_wait_secs += waited.as_secs_f64();
+        let tenant = q.spec.id;
+        self.total_running += head.cores as u64;
+        self.admit_seq += 1;
+        self.running.insert(
+            head.job,
+            RunningRec {
+                pos,
+                cores: head.cores,
+                seq: self.admit_seq,
+                borrowed,
+            },
+        );
+        Release {
+            job: head.job,
+            tenant,
+            cores: head.cores,
+            waited,
+            borrowed,
+        }
     }
 
     /// Deficit-round-robin drain: hand freed capacity to tenant queues.
@@ -547,107 +637,62 @@ impl FairShare {
     /// cycle releases nothing.
     pub fn drain(&mut self, now: SimTime) -> Vec<Release> {
         let mut out = Vec::new();
-        // Pass 1: guarantees.
+        // Pass 1: guarantees, over the needy set only.
         loop {
-            let mut progressed = false;
-            for i in 0..self.order.len() {
-                let tid = self.order[(self.cursor + i) % self.order.len()];
-                let q = self.tenants.get_mut(&tid).expect("order tracks tenants");
-                if !q.needy() {
-                    continue;
-                }
+            let round_start = out.len();
+            let mut prev = None;
+            while let Some(pos) = Self::next_in_round(&self.needy, self.cursor, prev) {
+                prev = Some(pos);
+                self.visits += 1;
+                let q = &mut self.queues[pos];
                 q.deficit += self.quantum * q.spec.weight;
-                while let Some(&head) = q.pending.front() {
+                loop {
+                    let q = &mut self.queues[pos];
+                    let Some(&head) = q.pending.front() else {
+                        break;
+                    };
                     let under = q.running_cores < q.spec.guaranteed_cores as u64;
                     let fits_pool = self.total_running + head.cores as u64 <= self.pool_cores;
                     let fits_cap = q.running_cores + head.cores as u64 <= q.spec.cap_cores as u64;
                     if !(under && fits_pool && fits_cap && q.deficit >= head.cores as f64) {
                         break;
                     }
-                    q.pending.pop_front();
                     q.deficit -= head.cores as f64;
-                    q.note_admit(head.cores, false);
-                    q.stat.drained += 1;
-                    let waited = now.saturating_since(head.enqueued);
-                    q.stat.total_queue_wait_secs += waited.as_secs_f64();
-                    self.total_running += head.cores as u64;
-                    self.admit_seq += 1;
-                    self.running.insert(
-                        head.job,
-                        RunningRec {
-                            tenant: tid,
-                            cores: head.cores,
-                            seq: self.admit_seq,
-                            borrowed: false,
-                        },
-                    );
-                    out.push(Release {
-                        job: head.job,
-                        tenant: TenantId(tid),
-                        cores: head.cores,
-                        waited,
-                        borrowed: false,
-                    });
-                    progressed = true;
+                    out.push(self.release_head(pos, now, false));
                 }
+                let q = &mut self.queues[pos];
                 if q.pending.is_empty() {
                     q.deficit = 0.0;
                 }
+                self.refresh(pos);
             }
-            if !progressed {
+            if out.len() == round_start {
                 break;
             }
         }
-        if !self.order.is_empty() {
-            self.cursor = (self.cursor + 1) % self.order.len();
+        if !self.queues.is_empty() {
+            self.cursor = (self.cursor + 1) % self.queues.len();
         }
-        // Pass 2: elastic borrowing of whatever is left.
-        loop {
-            if self.any_needy() {
-                break;
-            }
-            let mut progressed = false;
-            for i in 0..self.order.len() {
-                let tid = self.order[(self.cursor + i) % self.order.len()];
-                let q = self.tenants.get_mut(&tid).expect("order tracks tenants");
-                if q.spec.state != QueueState::Open {
-                    continue;
-                }
-                let Some(&head) = q.pending.front() else {
-                    continue;
-                };
+        // Pass 2: elastic borrowing of whatever is left, over the
+        // backlog set only.
+        while self.needy.is_empty() {
+            let round_start = out.len();
+            let mut prev = None;
+            while let Some(pos) = Self::next_in_round(&self.backlog, self.cursor, prev) {
+                prev = Some(pos);
+                self.visits += 1;
+                let q = &self.queues[pos];
+                let head = *q.pending.front().expect("backlog implies pending");
                 let fits_pool = self.total_running + head.cores as u64 <= self.pool_cores;
                 let fits_cap = q.running_cores + head.cores as u64 <= q.spec.cap_cores as u64;
                 if !(fits_pool && fits_cap) {
                     continue;
                 }
-                q.pending.pop_front();
                 let borrowed = q.running_cores >= q.spec.guaranteed_cores as u64;
-                q.note_admit(head.cores, borrowed);
-                q.stat.drained += 1;
-                let waited = now.saturating_since(head.enqueued);
-                q.stat.total_queue_wait_secs += waited.as_secs_f64();
-                self.total_running += head.cores as u64;
-                self.admit_seq += 1;
-                self.running.insert(
-                    head.job,
-                    RunningRec {
-                        tenant: tid,
-                        cores: head.cores,
-                        seq: self.admit_seq,
-                        borrowed,
-                    },
-                );
-                out.push(Release {
-                    job: head.job,
-                    tenant: TenantId(tid),
-                    cores: head.cores,
-                    waited,
-                    borrowed,
-                });
-                progressed = true;
+                out.push(self.release_head(pos, now, borrowed));
+                self.refresh(pos);
             }
-            if !progressed {
+            if out.len() == round_start {
                 break;
             }
         }
@@ -665,35 +710,34 @@ impl FairShare {
     /// [`release`]: FairShare::release
     /// [`drain`]: FairShare::drain
     pub fn starved_victims(&mut self, now: SimTime) -> Vec<Preemption> {
-        let mut starved: Vec<(u64, u64)> = Vec::new(); // (tenant, needed cores)
-        for q in self.tenants.values() {
-            if !q.needy() {
-                continue;
-            }
+        // (tenant id, position, needed cores), ascending by tenant id.
+        let mut starved: Vec<(u64, usize, u64)> = Vec::new();
+        for &pos in &self.needy {
+            let q = &self.queues[pos];
             let head = q.pending.front().expect("needy implies pending");
             if now.saturating_since(head.enqueued) >= self.starvation {
-                starved.push((q.spec.id.0, head.cores as u64));
+                starved.push((q.spec.id.0, pos, head.cores as u64));
             }
         }
         if starved.is_empty() {
             return Vec::new();
         }
-        let needed: u64 = starved.iter().map(|&(_, n)| n).sum();
-        let starved_ids: std::collections::BTreeSet<u64> =
-            starved.iter().map(|&(t, _)| t).collect();
+        starved.sort_unstable_by_key(|&(id, _, _)| id);
+        let needed: u64 = starved.iter().map(|&(_, _, n)| n).sum();
+        let starved_pos: BTreeSet<usize> = starved.iter().map(|&(_, p, _)| p).collect();
 
         // Candidate pass 1: borrowed jobs, keyed for ordering.
-        let mut borrowed: Vec<(f64, u64, u64, u32, u64)> = Vec::new(); // (borrow, seq, job, cores, tenant)
+        let mut borrowed: Vec<(f64, u64, u64, u32, usize)> = Vec::new(); // (borrow, seq, job, cores, pos)
         for (&job, rec) in &self.running {
-            if !rec.borrowed || starved_ids.contains(&rec.tenant) {
+            if !rec.borrowed || starved_pos.contains(&rec.pos) {
                 continue;
             }
-            let q = &self.tenants[&rec.tenant];
+            let q = &self.queues[rec.pos];
             let over = q.running_cores as f64 - q.spec.guaranteed_cores as f64;
             if over <= 0.0 {
                 continue;
             }
-            borrowed.push((over, rec.seq, job, rec.cores, rec.tenant));
+            borrowed.push((over, rec.seq, job, rec.cores, rec.pos));
         }
         borrowed.sort_by(|a, b| {
             b.0.partial_cmp(&a.0)
@@ -705,77 +749,69 @@ impl FairShare {
         let mut freed = 0u64;
         // Track how far each victim tenant has been drawn down so one
         // scan never over-preempts a single tenant.
-        let mut drawn: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut drawn: BTreeMap<usize, u64> = BTreeMap::new();
         let first_starved = TenantId(starved[0].0);
-        for (_, _, job, cores, tenant) in &borrowed {
+        for &(_, _, job, cores, pos) in &borrowed {
             if freed >= needed {
                 break;
             }
-            let q = &self.tenants[tenant];
-            let remaining = q.running_cores - drawn.get(tenant).copied().unwrap_or(0);
+            let q = &self.queues[pos];
+            let remaining = q.running_cores - drawn.get(&pos).copied().unwrap_or(0);
             if remaining <= q.spec.guaranteed_cores as u64 {
                 continue;
             }
             victims.push(Preemption {
-                victim_job: *job,
-                victim_tenant: TenantId(*tenant),
+                victim_job: job,
+                victim_tenant: q.spec.id,
                 starved_tenant: first_starved,
-                cores: *cores,
+                cores,
             });
-            *drawn.entry(*tenant).or_insert(0) += *cores as u64;
-            freed += *cores as u64;
+            *drawn.entry(pos).or_insert(0) += cores as u64;
+            freed += cores as u64;
+            self.queues[pos].stat.victims += 1;
         }
         if freed < needed {
             // Candidate pass 2: tenants above weighted fair share.
-            let mut over_share: Vec<(f64, u64, u64, u32, u64)> = Vec::new();
+            let mut over_share: Vec<(f64, u64, u64, u32, usize)> = Vec::new();
             for (&job, rec) in &self.running {
-                if starved_ids.contains(&rec.tenant) || victims.iter().any(|v| v.victim_job == job)
-                {
+                if starved_pos.contains(&rec.pos) || victims.iter().any(|v| v.victim_job == job) {
                     continue;
                 }
-                let q = &self.tenants[&rec.tenant];
-                let share = self.fair_share(TenantId(rec.tenant));
-                let over = q.running_cores as f64 - share;
+                let over = self.queues[rec.pos].running_cores as f64 - self.share_at(rec.pos);
                 if over <= 0.0 {
                     continue;
                 }
-                over_share.push((over, rec.seq, job, rec.cores, rec.tenant));
+                over_share.push((over, rec.seq, job, rec.cores, rec.pos));
             }
             over_share.sort_by(|a, b| {
                 b.0.partial_cmp(&a.0)
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(b.1.cmp(&a.1))
             });
-            for (_, _, job, cores, tenant) in &over_share {
+            for &(_, _, job, cores, pos) in &over_share {
                 if freed >= needed {
                     break;
                 }
-                let q = &self.tenants[tenant];
-                let remaining = q.running_cores - drawn.get(tenant).copied().unwrap_or(0);
+                let q = &self.queues[pos];
+                let remaining = q.running_cores - drawn.get(&pos).copied().unwrap_or(0);
                 // Never drive a victim below its own guarantee.
-                if remaining.saturating_sub(*cores as u64) < q.spec.guaranteed_cores as u64 {
+                if remaining.saturating_sub(cores as u64) < q.spec.guaranteed_cores as u64 {
                     continue;
                 }
                 victims.push(Preemption {
-                    victim_job: *job,
-                    victim_tenant: TenantId(*tenant),
+                    victim_job: job,
+                    victim_tenant: q.spec.id,
                     starved_tenant: first_starved,
-                    cores: *cores,
+                    cores,
                 });
-                *drawn.entry(*tenant).or_insert(0) += *cores as u64;
-                freed += *cores as u64;
+                *drawn.entry(pos).or_insert(0) += cores as u64;
+                freed += cores as u64;
+                self.queues[pos].stat.victims += 1;
             }
         }
         if !victims.is_empty() {
-            for &(tid, _) in &starved {
-                if let Some(q) = self.tenants.get_mut(&tid) {
-                    q.stat.reclaims += 1;
-                }
-            }
-            for v in &victims {
-                if let Some(q) = self.tenants.get_mut(&v.victim_tenant.0) {
-                    q.stat.victims += 1;
-                }
+            for &(_, pos, _) in &starved {
+                self.queues[pos].stat.reclaims += 1;
             }
         }
         victims
@@ -783,7 +819,7 @@ impl FairShare {
 
     /// Per-tenant lifetime counters, ascending by tenant id.
     pub fn stats(&self) -> Vec<TenantStat> {
-        self.tenants.values().map(|q| q.stat).collect()
+        self.index.values().map(|&p| self.queues[p].stat).collect()
     }
 }
 
@@ -1134,20 +1170,6 @@ mod tests {
         assert!((jain(&[1.0, 0.0, 0.0, 0.0]) - 0.25).abs() < 1e-12);
         assert!((jain(&[]) - 1.0).abs() < 1e-12);
         assert!((jain(&[0.0, 0.0]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cancel_pending_forgets_queued_jobs() {
-        let mut plan = plan3();
-        plan.assign(0, 1);
-        plan.assign(1, 1);
-        plan.assign(2, 1);
-        let mut fs = FairShare::new(&plan);
-        fs.gate(0, 8, t(0)); // fills cap
-        assert!(matches!(fs.gate(1, 4, t(0)), Gate::Defer { .. }));
-        assert!(fs.cancel_pending(1));
-        assert!(!fs.cancel_pending(1));
-        assert_eq!(fs.queue(TenantId(1)).unwrap().pending_depth(), 0);
     }
 
     #[test]
