@@ -12,9 +12,8 @@
 //! Three identities ship with the wall-clock number, all through the
 //! shared FNV digest:
 //!
-//! * **wheel vs heap** — the same scenario run on the timing-wheel
-//!   [`EventQueue`] and the retained `BinaryHeap` reference must produce
-//!   byte-identical results;
+//! * **profiled vs bare** — an extra run with the [`Profiler`] attached
+//!   must reproduce the timed runs' digest;
 //! * **j1 vs j4** — an [`Engine`] plan executed with `HCLOUD_JOBS=1` and
 //!   `4` must produce byte-identical results at every plan index;
 //! * **golden** — CI diffs the fast-mode digests against the committed
@@ -22,23 +21,24 @@
 //!   a >25% wall-clock regression.
 //!
 //! Timings go to stderr; `results/BENCH_fleet.json` carries the numbers.
+//! Its `queues` array keeps the one-row-per-event-queue shape the
+//! dashboard and CI read; the timing wheel is the only row.
 
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use hcloud::runner::{run_scenario_queued, RunCtx};
+use hcloud::runner::{run_scenario, RunCtx};
 use hcloud::{RunConfig, StrategyKind};
 use hcloud_bench::fleet::{fleet_config, run_digest};
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{artifacts, Engine, ExperimentCtx, ExperimentPlan, RunSpec};
 use hcloud_json::{ObjectBuilder, Value};
-use hcloud_sim::event::QueueKind;
 use hcloud_sim::rng::RngFactory;
 use hcloud_telemetry::Profiler;
 use hcloud_workloads::Scenario;
 
-/// Timing repetitions per queue implementation; the minimum is reported.
+/// Timing repetitions; the minimum is reported.
 const REPS: usize = 2;
 
 /// The fleet run configuration: OdM churns the most instances, and a
@@ -64,94 +64,60 @@ fn main() -> ExitCode {
     );
     let config = fleet_run_config();
 
-    // Queue identity: the same run on both event-queue implementations,
-    // dispatched through the same typed `QueueKind` the `HCLOUD_QUEUE`
-    // knob parses into — no hardcoded queue selection.
-    let mut rows: Vec<Value> = Vec::new();
-    let mut digests: Vec<String> = Vec::new();
-    let mut total_ms = 0.0;
-    for queue in QueueKind::ALL {
-        let mut best_ms = f64::INFINITY;
-        let mut dig = String::new();
-        let mut events = 0usize;
-        let mut instances = 0usize;
-        for _ in 0..REPS {
-            let factory = RngFactory::new(ctx.master_seed);
-            let run_ctx = RunCtx::new(&factory);
-            let start = Instant::now();
-            let result = run_scenario_queued(queue, &scenario, &config, &run_ctx)
-                .expect("no auditor attached");
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            best_ms = best_ms.min(ms);
-            events = result.counters.events_processed;
-            instances = result.usage_records.len();
-            dig = run_digest(&result);
-        }
-        total_ms += best_ms;
-        eprintln!(
-            "[perf_fleet] {queue:<5} {best_ms:>9.1} ms  ({events} events, {instances} instances, digest {dig})",
-            queue = queue.name(),
-        );
-
-        // One extra profiled rep per queue — excluded from `total_ms`
-        // (and hence from the wall-clock regression guard) so the span
-        // bookkeeping never taxes the headline number. Ops counts are
-        // deterministic; span wall times localize where the wheel and
-        // the heap actually spend the run.
-        let profiler = Profiler::enabled();
+    let mut best_ms = f64::INFINITY;
+    let mut dig = String::new();
+    let mut events = 0usize;
+    let mut instances = 0usize;
+    for _ in 0..REPS {
         let factory = RngFactory::new(ctx.master_seed);
-        let run_ctx = RunCtx::new(&factory).with_profiler(&profiler);
         let start = Instant::now();
         let result =
-            run_scenario_queued(queue, &scenario, &config, &run_ctx).expect("no auditor attached");
-        let profiled_ms = start.elapsed().as_secs_f64() * 1e3;
-        let profiled_dig = run_digest(&result);
-        if profiled_dig != dig {
-            artifacts::artifact_failure(
-                "perf_fleet profiling identity",
-                format!(
-                    "profiled {} run diverged: {profiled_dig} vs {dig}",
-                    queue.name()
-                ),
-            );
-            return artifacts::exit_code();
-        }
-        let snapshot = profiler.snapshot();
-        eprintln!(
-            "[perf_fleet] {queue:<5} profile: {}",
-            snapshot.summary(),
-            queue = queue.name(),
-        );
-
-        rows.push(
-            ObjectBuilder::new()
-                .set("queue", queue.name())
-                .set("wall_ms", best_ms)
-                .set("events", events as f64)
-                .set("instances", instances as f64)
-                .set("digest", dig.as_str())
-                .set(
-                    "profile",
-                    ObjectBuilder::new()
-                        .set("wall_ms", profiled_ms)
-                        .set("ops", snapshot.ops_json())
-                        .set("span_wall_ms", snapshot.wall_ms_json())
-                        .build(),
-                )
-                .build(),
-        );
-        digests.push(dig);
+            run_scenario(&scenario, &config, &RunCtx::new(&factory)).expect("no auditor attached");
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        best_ms = best_ms.min(ms);
+        events = result.counters.events_processed;
+        instances = result.usage_records.len();
+        dig = run_digest(&result);
     }
-    if digests[0] != digests[1] {
+    eprintln!(
+        "[perf_fleet] wheel {best_ms:>9.1} ms  ({events} events, {instances} instances, digest {dig})"
+    );
+
+    // One extra profiled rep, excluded from `total_wall_ms` (and hence
+    // from the wall-clock regression guard) so the span bookkeeping never
+    // taxes the headline number. Ops counts are deterministic; span wall
+    // times localize where the run spends its time.
+    let profiler = Profiler::enabled();
+    let factory = RngFactory::new(ctx.master_seed);
+    let run_ctx = RunCtx::new(&factory).with_profiler(&profiler);
+    let start = Instant::now();
+    let result = run_scenario(&scenario, &config, &run_ctx).expect("no auditor attached");
+    let profiled_ms = start.elapsed().as_secs_f64() * 1e3;
+    let profiled_dig = run_digest(&result);
+    if profiled_dig != dig {
         artifacts::artifact_failure(
-            "perf_fleet queue identity",
-            format!(
-                "timing-wheel and heap runs diverged: {} vs {}",
-                digests[0], digests[1]
-            ),
+            "perf_fleet profiling identity",
+            format!("profiled run diverged: {profiled_dig} vs {dig}"),
         );
         return artifacts::exit_code();
     }
+    let snapshot = profiler.snapshot();
+    eprintln!("[perf_fleet] wheel profile: {}", snapshot.summary());
+    let row = ObjectBuilder::new()
+        .set("queue", "wheel")
+        .set("wall_ms", best_ms)
+        .set("events", events as f64)
+        .set("instances", instances as f64)
+        .set("digest", dig.as_str())
+        .set(
+            "profile",
+            ObjectBuilder::new()
+                .set("wall_ms", profiled_ms)
+                .set("ops", snapshot.ops_json())
+                .set("span_wall_ms", snapshot.wall_ms_json())
+                .build(),
+        )
+        .build();
 
     // Worker identity: the same two-spec plan under 1 and 4 workers.
     let shared = Arc::new(scenario);
@@ -207,7 +173,7 @@ fn main() -> ExitCode {
                 .set("jobs", shared.jobs().len() as f64)
                 .build(),
         )
-        .set("queues", Value::Array(rows))
+        .set("queues", Value::Array(vec![row]))
         .set(
             "workers",
             ObjectBuilder::new()
@@ -223,7 +189,7 @@ fn main() -> ExitCode {
                 .set("identical_to_j4", workers_identical)
                 .build(),
         )
-        .set("total_wall_ms", total_ms)
+        .set("total_wall_ms", best_ms)
         .build();
     let path = std::path::Path::new("results").join("BENCH_fleet.json");
     let ok = std::fs::create_dir_all("results").is_ok()

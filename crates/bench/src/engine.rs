@@ -37,13 +37,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hcloud::runner::{run_scenario_queued, RunCtx};
+use hcloud::runner::{run_scenario, RunCtx};
 
 use crate::env::EnvOpts;
 use hcloud::{MappingPolicy, RunConfig, RunResult, StrategyId, StrategyRef};
 use hcloud_audit::{AuditMode, Auditor};
 use hcloud_faults::{FaultPlan, FaultPlanId};
-use hcloud_sim::event::QueueKind;
 use hcloud_sim::rng::RngFactory;
 use hcloud_telemetry::{
     MetricsRegistry, ProfSpan, ProfileSnapshot, Profiler, RunMeta, TraceEvent, TraceMode, Tracer,
@@ -75,10 +74,6 @@ pub struct ExperimentCtx {
     /// `final` (identities checked at end of run) or `strict`
     /// (violations abort at the offending event).
     pub audit: AuditMode,
-    /// Event-queue implementation (`HCLOUD_QUEUE`): `wheel` (timing
-    /// wheel, default) or `heap`. Digest-identical either way; the knob
-    /// trades only wall clock.
-    pub queue: QueueKind,
     /// Strategy focus (`HCLOUD_STRATEGY`): restrict a binary's sweep to
     /// one registered strategy (registry id or short name); `None` runs
     /// the binary's full strategy set.
@@ -94,7 +89,6 @@ impl Default for ExperimentCtx {
             trace: TraceMode::Off,
             faults: FaultPlanId::Off,
             audit: AuditMode::Off,
-            queue: QueueKind::Wheel,
             strategy: None,
         }
     }
@@ -109,7 +103,6 @@ impl From<EnvOpts> for ExperimentCtx {
             trace: opts.trace,
             faults: opts.faults,
             audit: opts.audit,
-            queue: opts.queue,
             strategy: opts.strategy,
         }
     }
@@ -154,22 +147,15 @@ impl ExperimentCtx {
         self
     }
 
-    /// Sets the event-queue implementation.
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
-        self
-    }
-
     /// Sets the strategy focus.
     pub fn with_strategy(mut self, strategy: StrategyId) -> Self {
         self.strategy = Some(strategy);
         self
     }
 
-    /// Parses the eight ambient variables. Malformed values are an error
+    /// Parses the seven ambient variables. Malformed values are an error
     /// with a message naming the variable, the offending value, and what
     /// was expected — never a silent fallback.
-    #[allow(clippy::too_many_arguments)]
     pub fn parse(
         seed: Option<&str>,
         fast: Option<&str>,
@@ -177,15 +163,14 @@ impl ExperimentCtx {
         trace: Option<&str>,
         faults: Option<&str>,
         audit: Option<&str>,
-        queue: Option<&str>,
         strategy: Option<&str>,
     ) -> Result<Self, String> {
-        EnvOpts::parse(seed, fast, jobs, trace, faults, audit, queue, strategy).map(Self::from)
+        EnvOpts::parse(seed, fast, jobs, trace, faults, audit, strategy).map(Self::from)
     }
 
     /// Reads `HCLOUD_SEED` / `HCLOUD_FAST` / `HCLOUD_JOBS` /
     /// `HCLOUD_TRACE` / `HCLOUD_FAULTS` / `HCLOUD_AUDIT` /
-    /// `HCLOUD_QUEUE` / `HCLOUD_STRATEGY` from the environment.
+    /// `HCLOUD_STRATEGY` from the environment.
     pub fn from_env() -> Result<Self, String> {
         EnvOpts::from_env().map(Self::from)
     }
@@ -682,35 +667,25 @@ impl Engine {
             } else {
                 Profiler::disabled()
             };
-            let (result, trace) = if tracing || profiling || audit.is_enabled() {
-                let tracer = if tracing {
-                    Tracer::enabled()
-                } else {
-                    Tracer::disabled()
-                };
-                let auditor = Auditor::new(audit);
-                let result = run_scenario_queued(
-                    self.ctx.queue,
-                    scenario,
-                    &config,
-                    &RunCtx::new(&factory)
-                        .with_tracer(&tracer)
-                        .with_auditor(&auditor)
-                        .with_profiler(&profiler),
-                )
-                .map_err(|violation| format!("run {}: {violation}", spec.display_label()))?;
-                let trace = tracing.then(|| RunTrace {
-                    meta: spec.run_meta(&self.ctx),
-                    events: tracer.take(),
-                });
-                (result, trace)
+            let tracer = if tracing {
+                Tracer::enabled()
             } else {
-                (
-                    run_scenario_queued(self.ctx.queue, scenario, &config, &RunCtx::new(&factory))
-                        .expect("no auditor attached"),
-                    None,
-                )
+                Tracer::disabled()
             };
+            let auditor = Auditor::new(audit);
+            let result = run_scenario(
+                scenario,
+                &config,
+                &RunCtx::new(&factory)
+                    .with_tracer(&tracer)
+                    .with_auditor(&auditor)
+                    .with_profiler(&profiler),
+            )
+            .map_err(|violation| format!("run {}: {violation}", spec.display_label()))?;
+            let trace = tracing.then(|| RunTrace {
+                meta: spec.run_meta(&self.ctx),
+                events: tracer.take(),
+            });
             let telemetry = RunTelemetry {
                 label: spec.display_label(),
                 wall: run_started.elapsed(),
@@ -791,14 +766,13 @@ mod tests {
 
     #[test]
     fn ctx_defaults_match_legacy_behaviour() {
-        let ctx = ExperimentCtx::parse(None, None, None, None, None, None, None, None).unwrap();
+        let ctx = ExperimentCtx::parse(None, None, None, None, None, None, None).unwrap();
         assert_eq!(ctx.master_seed, 42);
         assert!(!ctx.fast);
         assert_eq!(ctx.jobs, None);
         assert_eq!(ctx.trace, TraceMode::Off);
         assert_eq!(ctx.faults, FaultPlanId::Off);
         assert_eq!(ctx.audit, AuditMode::Off);
-        assert_eq!(ctx.queue, QueueKind::Wheel);
         assert_eq!(ctx.strategy, None);
     }
 
@@ -811,7 +785,6 @@ mod tests {
             Some("full"),
             Some("full-chaos"),
             Some("strict"),
-            Some("heap"),
             Some("RA"),
         )
         .unwrap();
@@ -821,22 +794,12 @@ mod tests {
         assert_eq!(ctx.trace, TraceMode::Full);
         assert_eq!(ctx.faults, FaultPlanId::FullChaos);
         assert_eq!(ctx.audit, AuditMode::Strict);
-        assert_eq!(ctx.queue, QueueKind::Heap);
         assert_eq!(
             ctx.strategy.map(|s| s.as_str()),
             Some("reservation-autoscale")
         );
-        let ctx = ExperimentCtx::parse(
-            None,
-            Some("0"),
-            None,
-            Some("summary"),
-            None,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        let ctx =
+            ExperimentCtx::parse(None, Some("0"), None, Some("summary"), None, None, None).unwrap();
         assert!(!ctx.fast);
         assert_eq!(ctx.trace, TraceMode::Summary);
         let ctx = ExperimentCtx::parse(
@@ -846,58 +809,37 @@ mod tests {
             Some("off"),
             Some("off"),
             Some("final"),
-            Some("wheel"),
             None,
         )
         .unwrap();
         assert_eq!(ctx.trace, TraceMode::Off);
         assert_eq!(ctx.faults, FaultPlanId::Off);
         assert_eq!(ctx.audit, AuditMode::Final);
-        assert_eq!(ctx.queue, QueueKind::Wheel);
         assert_eq!(ctx.strategy, None);
     }
 
     #[test]
     fn ctx_rejects_malformed_values_loudly() {
-        let e = ExperimentCtx::parse(Some("banana"), None, None, None, None, None, None, None)
-            .unwrap_err();
-        assert!(e.contains("HCLOUD_SEED") && e.contains("banana"), "{e}");
-        let e = ExperimentCtx::parse(None, Some("yes"), None, None, None, None, None, None)
-            .unwrap_err();
-        assert!(e.contains("HCLOUD_FAST") && e.contains("yes"), "{e}");
         let e =
-            ExperimentCtx::parse(None, None, Some("0"), None, None, None, None, None).unwrap_err();
+            ExperimentCtx::parse(Some("banana"), None, None, None, None, None, None).unwrap_err();
+        assert!(e.contains("HCLOUD_SEED") && e.contains("banana"), "{e}");
+        let e = ExperimentCtx::parse(None, Some("yes"), None, None, None, None, None).unwrap_err();
+        assert!(e.contains("HCLOUD_FAST") && e.contains("yes"), "{e}");
+        let e = ExperimentCtx::parse(None, None, Some("0"), None, None, None, None).unwrap_err();
         assert!(e.contains("HCLOUD_JOBS"), "{e}");
-        let e = ExperimentCtx::parse(None, None, Some("many"), None, None, None, None, None)
-            .unwrap_err();
+        let e = ExperimentCtx::parse(None, None, Some("many"), None, None, None, None).unwrap_err();
         assert!(e.contains("HCLOUD_JOBS") && e.contains("many"), "{e}");
-        let e = ExperimentCtx::parse(None, None, None, Some("loud"), None, None, None, None)
-            .unwrap_err();
+        let e = ExperimentCtx::parse(None, None, None, Some("loud"), None, None, None).unwrap_err();
         assert!(e.contains("HCLOUD_TRACE") && e.contains("loud"), "{e}");
-        let e = ExperimentCtx::parse(None, None, None, None, Some("mayhem"), None, None, None)
-            .unwrap_err();
+        let e =
+            ExperimentCtx::parse(None, None, None, None, Some("mayhem"), None, None).unwrap_err();
         assert!(e.contains("HCLOUD_FAULTS") && e.contains("mayhem"), "{e}");
-        let e = ExperimentCtx::parse(None, None, None, None, None, Some("paranoid"), None, None)
-            .unwrap_err();
+        let e =
+            ExperimentCtx::parse(None, None, None, None, None, Some("paranoid"), None).unwrap_err();
         assert!(e.contains("HCLOUD_AUDIT") && e.contains("paranoid"), "{e}");
-        let e = ExperimentCtx::parse(None, None, None, None, None, None, Some("stack"), None)
-            .unwrap_err();
-        assert!(e.contains("HCLOUD_QUEUE") && e.contains("stack"), "{e}");
-        let e = ExperimentCtx::parse(None, None, None, None, None, None, None, Some("bogus"))
-            .unwrap_err();
+        let e =
+            ExperimentCtx::parse(None, None, None, None, None, None, Some("bogus")).unwrap_err();
         assert!(e.contains("HCLOUD_STRATEGY") && e.contains("bogus"), "{e}");
-    }
-
-    #[test]
-    fn heap_queue_runs_are_digest_identical_to_wheel() {
-        let plan = ExperimentPlan::from(vec![RunSpec::of(
-            ScenarioKind::Static,
-            StrategyKind::HybridMixed,
-        )]);
-        let ctx = ExperimentCtx::new(42).with_fast(true).with_jobs(1);
-        let wheel = Engine::new(ctx).run_plan(&plan);
-        let heap = Engine::new(ctx.with_queue(QueueKind::Heap)).run_plan(&plan);
-        assert_eq!(wheel.results, heap.results);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Typed reader for the ambient `HCLOUD_*` experiment variables.
 //!
-//! Every bench binary and the CI smoke jobs are steered by eight
+//! Every bench binary and the CI smoke jobs are steered by seven
 //! environment variables — `HCLOUD_SEED`, `HCLOUD_FAST`, `HCLOUD_JOBS`,
-//! `HCLOUD_TRACE`, `HCLOUD_FAULTS`, `HCLOUD_AUDIT`, `HCLOUD_QUEUE`,
-//! `HCLOUD_STRATEGY`.
+//! `HCLOUD_TRACE`, `HCLOUD_FAULTS`, `HCLOUD_AUDIT`, `HCLOUD_STRATEGY`.
 //! [`EnvOpts`] is their one typed home: each variable is parsed exactly
 //! once, and a malformed value is a hard error naming the variable, the
 //! offending value, and what was expected — never a silent fallback to a
@@ -12,10 +11,9 @@
 use hcloud::{StrategyId, StrategyRegistry};
 use hcloud_audit::AuditMode;
 use hcloud_faults::FaultPlanId;
-use hcloud_sim::event::QueueKind;
 use hcloud_telemetry::TraceMode;
 
-/// The eight ambient experiment variables, parsed and typed.
+/// The seven ambient experiment variables, parsed and typed.
 ///
 /// [`crate::ExperimentCtx`] is built from this; binaries that need only
 /// the raw knobs (e.g. a perf harness that sizes its own scenario) can
@@ -36,8 +34,6 @@ pub struct EnvOpts {
     pub faults: FaultPlanId,
     /// `HCLOUD_AUDIT`: `off` (default), `final` or `strict`.
     pub audit: AuditMode,
-    /// `HCLOUD_QUEUE`: `wheel` (timing wheel, default) or `heap`.
-    pub queue: QueueKind,
     /// `HCLOUD_STRATEGY`: focus the run on one registered strategy
     /// (registry id or short name); `None` runs each binary's full
     /// strategy set.
@@ -53,17 +49,15 @@ impl Default for EnvOpts {
             trace: TraceMode::Off,
             faults: FaultPlanId::Off,
             audit: AuditMode::Off,
-            queue: QueueKind::Wheel,
             strategy: None,
         }
     }
 }
 
 impl EnvOpts {
-    /// Parses the eight ambient variables from their raw string values.
+    /// Parses the seven ambient variables from their raw string values.
     /// Malformed values are an error with a message naming the variable,
     /// the offending value, and what was expected.
-    #[allow(clippy::too_many_arguments)]
     pub fn parse(
         seed: Option<&str>,
         fast: Option<&str>,
@@ -71,7 +65,6 @@ impl EnvOpts {
         trace: Option<&str>,
         faults: Option<&str>,
         audit: Option<&str>,
-        queue: Option<&str>,
         strategy: Option<&str>,
     ) -> Result<Self, String> {
         let seed = match seed {
@@ -103,7 +96,6 @@ impl EnvOpts {
         let trace = TraceMode::parse(trace)?;
         let faults = FaultPlanId::parse(faults)?;
         let audit = AuditMode::parse(audit)?;
-        let queue = QueueKind::parse(queue)?;
         let strategy = match strategy {
             None => None,
             Some(s) => Some(s.trim().parse::<StrategyId>().map_err(|_| {
@@ -121,12 +113,11 @@ impl EnvOpts {
             trace,
             faults,
             audit,
-            queue,
             strategy,
         })
     }
 
-    /// Reads the eight `HCLOUD_*` variables from the process environment.
+    /// Reads the seven `HCLOUD_*` variables from the process environment.
     pub fn from_env() -> Result<Self, String> {
         let var = |name: &str| std::env::var(name).ok();
         Self::parse(
@@ -136,7 +127,6 @@ impl EnvOpts {
             var("HCLOUD_TRACE").as_deref(),
             var("HCLOUD_FAULTS").as_deref(),
             var("HCLOUD_AUDIT").as_deref(),
-            var("HCLOUD_QUEUE").as_deref(),
             var("HCLOUD_STRATEGY").as_deref(),
         )
     }
@@ -146,7 +136,7 @@ impl EnvOpts {
 mod tests {
     use super::*;
 
-    /// Which of the eight variables a table row exercises.
+    /// Which of the seven variables a table row exercises.
     #[derive(Clone, Copy)]
     enum Var {
         Seed,
@@ -155,21 +145,19 @@ mod tests {
         Trace,
         Faults,
         Audit,
-        Queue,
         Strategy,
     }
 
     fn parse_one(var: Var, value: &str) -> Result<EnvOpts, String> {
         let v = Some(value);
         match var {
-            Var::Seed => EnvOpts::parse(v, None, None, None, None, None, None, None),
-            Var::Fast => EnvOpts::parse(None, v, None, None, None, None, None, None),
-            Var::Jobs => EnvOpts::parse(None, None, v, None, None, None, None, None),
-            Var::Trace => EnvOpts::parse(None, None, None, v, None, None, None, None),
-            Var::Faults => EnvOpts::parse(None, None, None, None, v, None, None, None),
-            Var::Audit => EnvOpts::parse(None, None, None, None, None, v, None, None),
-            Var::Queue => EnvOpts::parse(None, None, None, None, None, None, v, None),
-            Var::Strategy => EnvOpts::parse(None, None, None, None, None, None, None, v),
+            Var::Seed => EnvOpts::parse(v, None, None, None, None, None, None),
+            Var::Fast => EnvOpts::parse(None, v, None, None, None, None, None),
+            Var::Jobs => EnvOpts::parse(None, None, v, None, None, None, None),
+            Var::Trace => EnvOpts::parse(None, None, None, v, None, None, None),
+            Var::Faults => EnvOpts::parse(None, None, None, None, v, None, None),
+            Var::Audit => EnvOpts::parse(None, None, None, None, None, v, None),
+            Var::Strategy => EnvOpts::parse(None, None, None, None, None, None, v),
         }
     }
 
@@ -194,8 +182,6 @@ mod tests {
             (Var::Audit, "off", |o| o.audit == AuditMode::Off),
             (Var::Audit, "final", |o| o.audit == AuditMode::Final),
             (Var::Audit, "strict", |o| o.audit == AuditMode::Strict),
-            (Var::Queue, "wheel", |o| o.queue == QueueKind::Wheel),
-            (Var::Queue, "heap", |o| o.queue == QueueKind::Heap),
             (Var::Strategy, "hybrid-mixed", |o| {
                 o.strategy.map(|s| s.as_str()) == Some("hybrid-mixed")
             }),
@@ -225,8 +211,6 @@ mod tests {
             (Var::Trace, "loud", &["HCLOUD_TRACE", "loud"]),
             (Var::Faults, "mayhem", &["HCLOUD_FAULTS", "mayhem"]),
             (Var::Audit, "paranoid", &["HCLOUD_AUDIT", "paranoid"]),
-            (Var::Queue, "stack", &["HCLOUD_QUEUE", "stack"]),
-            (Var::Queue, "Wheel", &["HCLOUD_QUEUE", "Wheel"]),
             (
                 Var::Strategy,
                 "bogus",
@@ -244,7 +228,7 @@ mod tests {
 
     #[test]
     fn unset_environment_is_all_defaults() {
-        let opts = EnvOpts::parse(None, None, None, None, None, None, None, None).unwrap();
+        let opts = EnvOpts::parse(None, None, None, None, None, None, None).unwrap();
         assert_eq!(opts, EnvOpts::default());
         assert_eq!(opts.strategy, None);
     }

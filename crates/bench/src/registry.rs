@@ -436,7 +436,7 @@ experiments! {
         id: "perf_fleet",
         paper_ref: "perf: fleet-scale engine",
         kind: ExperimentKind::Perf,
-        claim: "the ~1M-job fleet run is digest-identical across queues and worker counts",
+        claim: "the ~1M-job fleet run is digest-identical across profiling and worker counts",
         scenarios: "high-variability-fleet",
         strategies: "OdM",
         artifacts: &["BENCH_fleet"],

@@ -239,6 +239,18 @@ fn parse_num<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, 
     v.parse().map_err(|_| format!("{flag}: cannot parse '{v}'"))
 }
 
+/// Parses a finite, strictly positive number: zero, negative and
+/// non-finite scales or bids would panic or never finish downstream.
+fn parse_positive(flag: &str, v: Option<&String>) -> Result<f64, String> {
+    match parse_num::<f64>(flag, v)? {
+        x if x.is_finite() && x > 0.0 => Ok(x),
+        _ => Err(format!(
+            "{flag}: expected a finite number > 0, got '{}'",
+            v.expect("parse_num checked the value")
+        )),
+    }
+}
+
 /// Parses the full argument vector.
 pub fn parse(argv: &[String]) -> Result<Command, String> {
     let mut it = argv.iter();
@@ -262,14 +274,14 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         let mut consumed = 2;
         match flag {
             "--scenario" => common.kind = parse_scenario(value.ok_or("--scenario needs a value")?)?,
-            "--scale" => common.scale = parse_num("--scale", value)?,
+            "--scale" => common.scale = parse_positive("--scale", value)?,
             "--minutes" => common.minutes = parse_num("--minutes", value)?,
             "--seed" => common.seed = parse_num("--seed", value)?,
             "--strategy" => {
                 run.strategy = parse_strategy(value.ok_or("--strategy needs a value")?)?
             }
             "--policy" => run.policy = parse_policy(value.ok_or("--policy needs a value")?)?,
-            "--spot" => run.spot_bid = Some(parse_num("--spot", value)?),
+            "--spot" => run.spot_bid = Some(parse_positive("--spot", value)?),
             "--pricing" => {
                 let v = value.ok_or("--pricing needs a value")?;
                 if !["aws", "gce", "azure"].contains(&v.as_str()) {
@@ -535,5 +547,16 @@ mod tests {
         assert!(parse(&v(&["sweep"])).is_err());
         assert!(parse(&v(&["sweep", "--knob", "color"])).is_err());
         assert!(parse(&v(&["run", "--scale"])).is_err());
+        // Zero, negative and non-finite numbers are errors naming the flag.
+        for verb in ["run", "compare", "sweep", "tenants"] {
+            for bad in ["0", "-1", "nan", "NaN", "inf", "-inf"] {
+                let e = parse(&v(&[verb, "--scale", bad])).unwrap_err();
+                assert!(e.contains("--scale"), "{verb} --scale {bad}: {e}");
+            }
+        }
+        for bad in ["0", "-1", "nan", "inf"] {
+            let e = parse(&v(&["run", "--spot", bad])).unwrap_err();
+            assert!(e.contains("--spot"), "--spot {bad}: {e}");
+        }
     }
 }

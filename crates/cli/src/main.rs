@@ -27,7 +27,7 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match args::parse(&argv) {
         // A malformed scenario file is its own exit code (2) so CI can
-        // tell "bad input document" apart from "run failed".
+        // tell "bad input" apart from "run failed" (exit 1).
         Ok(args::Command::Validate(file)) => match commands::validate_file(&file) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
@@ -42,10 +42,11 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
+        // Bad arguments exit 2, like a malformed scenario file.
         Err(e) => {
             eprintln!("error: {e}\n");
             eprintln!("{}", args::USAGE);
-            ExitCode::FAILURE
+            ExitCode::from(2)
         }
     }
 }

@@ -108,10 +108,26 @@ fn identical_seeds_reproduce_identical_output() {
 
 #[test]
 fn bad_arguments_fail_with_usage() {
-    let out = cli().args(["frobnicate"]).output().expect("binary runs");
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("usage:"), "{err}");
+    // Argument errors exit 2 and name the offending flag; bad numbers
+    // must not panic or run without end.
+    let cases: &[&[&str]] = &[
+        &["frobnicate"],
+        &["run", "--scale", "0"],
+        &["run", "--scale", "-1"],
+        &["run", "--scale", "nan"],
+        &["run", "--scale", "inf"],
+        &["compare", "--scale", "0"],
+        &["run", "--spot", "0"],
+        &["run", "--spot", "nan"],
+    ];
+    for args in cases {
+        let out = cli().args(*args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+        let named = if args.len() > 1 { args[1] } else { args[0] };
+        assert!(err.contains(named), "{args:?}: {err}");
+    }
 }
 
 #[test]

@@ -8,21 +8,17 @@
 //! optional [`Tracer`] and conservation [`Auditor`], so callers opt into
 //! instrumentation by attaching it rather than by picking a function.
 //!
-//! The event loop itself is batched: [`run_scenario_on`] drains every
-//! event sharing the current timestamp in one call against the
-//! [`EventQueueApi`] (the timing-wheel [`EventQueue`] by default, the
-//! retained [`hcloud_sim::event::HeapEventQueue`] for differential runs)
-//! and applies the batch as a slice, acknowledging each event as it is
-//! dispatched so queue-depth telemetry stays byte-identical to the old
+//! The event loop itself is batched: [`run_scenario`] drains every event
+//! sharing the current timestamp from the timing-wheel [`EventQueue`] in
+//! one call and applies the batch as a slice, acknowledging each event as
+//! it is dispatched so queue-depth telemetry stays byte-identical to a
 //! one-pop-per-iteration loop.
 
 use hcloud_audit::Auditor;
 // Re-exported so downstream `main() -> Result<(), AuditViolation>`
 // wrappers need only the `hcloud` dependency.
 pub use hcloud_audit::AuditViolation;
-use hcloud_sim::event::{
-    EventQueue, EventQueueApi, EventSink, EventToken, HeapEventQueue, QueueKind,
-};
+use hcloud_sim::event::{EventQueue, EventSink, EventToken};
 use hcloud_sim::rng::RngFactory;
 use hcloud_sim::SimTime;
 use hcloud_telemetry::{trace_event, ProfSpan, Profiler, TraceKind, Tracer};
@@ -110,21 +106,24 @@ impl<'a> RunCtx<'a> {
 /// disabled profiler every call is one branch away from the bare queue.
 ///
 /// [`drain_next_batch`]: ProfiledQueue::drain_next_batch
-struct ProfiledQueue<'p, Q> {
-    inner: Q,
+struct ProfiledQueue<'p> {
+    inner: EventQueue<Event>,
     profiler: &'p Profiler,
 }
 
-impl<Q: EventQueueApi<Event>> EventSink<Event> for ProfiledQueue<'_, Q> {
+impl EventSink<Event> for ProfiledQueue<'_> {
     fn schedule(&mut self, at: SimTime, event: Event) -> EventToken {
         let profiler = self.profiler;
         profiler.time(ProfSpan::EventPush, || self.inner.schedule(at, event))
     }
 }
 
-impl<'p, Q: EventQueueApi<Event>> ProfiledQueue<'p, Q> {
-    fn new(inner: Q, profiler: &'p Profiler) -> Self {
-        ProfiledQueue { inner, profiler }
+impl<'p> ProfiledQueue<'p> {
+    fn new(profiler: &'p Profiler) -> Self {
+        ProfiledQueue {
+            inner: EventQueue::new(),
+            profiler,
+        }
     }
 
     fn drain_next_batch(&mut self, buf: &mut Vec<Event>) -> Option<SimTime> {
@@ -162,36 +161,6 @@ pub fn run_scenario(
     config: &RunConfig,
     ctx: &RunCtx,
 ) -> Result<RunResult, AuditViolation> {
-    run_scenario_on::<EventQueue<Event>>(scenario, config, ctx)
-}
-
-/// [`run_scenario`] with the event-queue implementation chosen at run
-/// time by a typed [`QueueKind`] — the dispatch point for the
-/// `HCLOUD_QUEUE` knob, so callers comparing the two implementations
-/// never hardcode queue selection.
-pub fn run_scenario_queued(
-    queue: QueueKind,
-    scenario: &Scenario,
-    config: &RunConfig,
-    ctx: &RunCtx,
-) -> Result<RunResult, AuditViolation> {
-    match queue {
-        QueueKind::Wheel => run_scenario_on::<EventQueue<Event>>(scenario, config, ctx),
-        QueueKind::Heap => run_scenario_on::<HeapEventQueue<Event>>(scenario, config, ctx),
-    }
-}
-
-/// [`run_scenario`] generic over the event-queue implementation.
-///
-/// The digest-identity benches run the same scenario on the timing-wheel
-/// [`EventQueue`] and the reference [`hcloud_sim::event::HeapEventQueue`]
-/// and assert byte-identical results and traces; everything else should
-/// call [`run_scenario`].
-pub fn run_scenario_on<Q: EventQueueApi<Event>>(
-    scenario: &Scenario,
-    config: &RunConfig,
-    ctx: &RunCtx,
-) -> Result<RunResult, AuditViolation> {
     let disabled_tracer = Tracer::disabled();
     let tracer = ctx.tracer.unwrap_or(&disabled_tracer);
     let disabled_auditor = Auditor::disabled();
@@ -206,7 +175,7 @@ pub fn run_scenario_on<Q: EventQueueApi<Event>>(
         auditor.clone(),
         profiler.clone(),
     );
-    let mut events = ProfiledQueue::new(Q::default(), profiler);
+    let mut events = ProfiledQueue::new(profiler);
     for job in scenario.jobs() {
         events.schedule(job.arrival, Event::Arrival(job.id));
     }
@@ -224,7 +193,7 @@ pub fn run_scenario_on<Q: EventQueueApi<Event>>(
         // Drain every event sharing the next timestamp and apply them as
         // a slice. Events scheduled *at* `t` during the batch (job starts
         // with zero spin-up, same-instant retention) land in the next
-        // batch at the same `t`, exactly where the heap loop would pop
+        // batch at the same `t`, exactly where a one-pop loop would pop
         // them.
         let Some(t) = events.drain_next_batch(&mut batch) else {
             break Ok(());
@@ -349,7 +318,6 @@ pub fn run_scenario_on<Q: EventQueueApi<Event>>(
 mod tests {
     use super::*;
     use crate::strategy::StrategyKind;
-    use hcloud_sim::event::HeapEventQueue;
     use hcloud_workloads::{ScenarioConfig, ScenarioKind};
 
     /// A small scenario that runs in well under a second.
@@ -388,47 +356,6 @@ mod tests {
         let perf_a: Vec<f64> = a.outcomes.iter().map(|o| o.normalized_perf).collect();
         let perf_b: Vec<f64> = b.outcomes.iter().map(|o| o.normalized_perf).collect();
         assert_eq!(perf_a, perf_b);
-    }
-
-    #[test]
-    fn heap_and_wheel_queues_produce_identical_runs() {
-        let scenario = small_scenario(ScenarioKind::HighVariability);
-        let factory = RngFactory::new(7);
-        for strategy in [StrategyKind::HybridMixed, StrategyKind::OnDemandMixed] {
-            let config = RunConfig::new(strategy);
-            let wheel_tracer = Tracer::enabled();
-            let heap_tracer = Tracer::enabled();
-            let wheel = run_scenario_on::<EventQueue<Event>>(
-                &scenario,
-                &config,
-                &RunCtx::new(&factory).with_tracer(&wheel_tracer),
-            )
-            .unwrap();
-            let heap = run_scenario_on::<HeapEventQueue<Event>>(
-                &scenario,
-                &config,
-                &RunCtx::new(&factory).with_tracer(&heap_tracer),
-            )
-            .unwrap();
-            assert_eq!(wheel, heap, "{strategy}: results diverge across queues");
-            // Compare traces by debug formatting: NaN fields (e.g. q90
-            // under strategies that never consult the quality monitor)
-            // are bitwise identical but `NaN != NaN` under PartialEq.
-            let wheel_trace = wheel_tracer.take();
-            let heap_trace = heap_tracer.take();
-            assert_eq!(
-                wheel_trace.len(),
-                heap_trace.len(),
-                "{strategy}: trace lengths diverge across queues"
-            );
-            for (a, b) in wheel_trace.iter().zip(&heap_trace) {
-                assert_eq!(
-                    format!("{a:?}"),
-                    format!("{b:?}"),
-                    "{strategy}: traces diverge across queues"
-                );
-            }
-        }
     }
 
     #[test]

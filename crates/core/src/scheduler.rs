@@ -331,35 +331,12 @@ const BAND_NAMES: [&str; 3] = ["below-soft", "between-limits", "above-hard"];
 
 impl<'a> Scheduler<'a> {
     /// Builds the scheduler: provisions reserved capacity and seeds the
-    /// classification engine.
-    pub fn new(scenario: &'a Scenario, config: &'a RunConfig, factory: &RngFactory) -> Self {
-        Scheduler::with_tracer(scenario, config, factory, Tracer::disabled())
-    }
-
-    /// Like [`Scheduler::new`], but every instrumented decision (placement,
+    /// classification engine. Every instrumented decision (placement,
     /// limit crossings, queueing, QoS actions, instance lifecycle) is
-    /// recorded into `tracer`.
-    pub fn with_tracer(
-        scenario: &'a Scenario,
-        config: &'a RunConfig,
-        factory: &RngFactory,
-        tracer: Tracer,
-    ) -> Self {
-        Scheduler::with_instruments(
-            scenario,
-            config,
-            factory,
-            tracer,
-            Auditor::disabled(),
-            Profiler::disabled(),
-        )
-    }
-
-    /// Like [`Scheduler::with_tracer`], but semantic accounting events
-    /// (work credited, cores bound, instance lifecycle) also feed
-    /// `auditor`'s conservation ledgers, and hot-path subsystems
-    /// attribute their wall clock to `profiler`'s spans. With disabled
-    /// instruments this is exactly `with_tracer`.
+    /// recorded into `tracer`; semantic accounting events (work credited,
+    /// cores bound, instance lifecycle) feed `auditor`'s conservation
+    /// ledgers; hot-path subsystems attribute their wall clock to
+    /// `profiler`'s spans.
     pub fn with_instruments(
         scenario: &'a Scenario,
         config: &'a RunConfig,
@@ -2685,7 +2662,14 @@ mod tests {
         config: &'a RunConfig,
     ) -> (Scheduler<'a>, EventQueue<Event>) {
         (
-            Scheduler::new(scenario, config, &RngFactory::new(1)),
+            Scheduler::with_instruments(
+                scenario,
+                config,
+                &RngFactory::new(1),
+                Tracer::disabled(),
+                Auditor::disabled(),
+                Profiler::disabled(),
+            ),
             EventQueue::new(),
         )
     }

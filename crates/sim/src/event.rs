@@ -2,23 +2,17 @@
 //!
 //! The HCloud scenario runner advances simulation time by repeatedly popping
 //! the earliest pending event. Determinism requires a *stable* order among
-//! events scheduled for the same instant: both queue implementations break
-//! ties by insertion sequence number, so two runs with identical inputs pop
-//! events in identical order.
+//! events scheduled for the same instant: the queue breaks ties by
+//! insertion sequence number, so two runs with identical inputs pop events
+//! in identical order.
 //!
-//! Two interchangeable implementations live here, both behind
-//! [`EventQueueApi`]:
-//!
-//! * [`EventQueue`] — the default: a hierarchical timing wheel
-//!   ([`LEVELS`] levels × [`SLOTS`] slots of [`LEVEL_BITS`]-bit digits over
-//!   the microsecond timestamp). Scheduling and serving are O(1) amortized
-//!   regardless of how deep the queue gets, which is what lets fleet-scale
-//!   scenarios (10⁵ instances, 10⁶ jobs) run without the `O(log n)` heap
-//!   churn dominating.
-//! * [`HeapEventQueue`] — the retained `BinaryHeap` reference
-//!   implementation. The property suite runs both against the same stable
-//!   sort reference, and a differential test drives them in lockstep over
-//!   random schedule/pop/cancel interleavings.
+//! [`EventQueue`] is a hierarchical timing wheel ([`LEVELS`] levels ×
+//! [`SLOTS`] slots of [`LEVEL_BITS`]-bit digits over the microsecond
+//! timestamp). Scheduling and serving are O(1) amortized regardless of how
+//! deep the queue gets, which is what lets fleet-scale scenarios (10⁵
+//! instances, 10⁶ jobs) run without `O(log n)` heap churn dominating. The
+//! property suite pins it against a stable sort and, op for op, against a
+//! `BinaryHeap` reference model kept under `tests/reference/`.
 //!
 //! An event lives at the level of the highest [`LEVEL_BITS`]-bit digit in
 //! which its timestamp differs from the current clock, in the slot named by
@@ -27,11 +21,10 @@
 //! level 0 buckets hold one exact timestamp and become the next batch
 //! wholesale; higher-level buckets cascade — their earliest timestamp
 //! becomes the new clock and every other member re-enters a lower level.
-//! Ties are restored by sorting each served bucket by sequence number, so
-//! the pop order is bit-identical to the heap's.
+//! Buckets stay in insertion order without sorting, so the pop order is
+//! exactly (time, insertion) order.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
@@ -44,112 +37,19 @@ pub const SLOTS: usize = 1 << LEVEL_BITS;
 pub const LEVELS: usize = 11;
 const SLOT_MASK: u64 = (SLOTS as u64) - 1;
 
-/// Which event-queue implementation a run uses: the timing-wheel
-/// [`EventQueue`] (default) or the reference [`HeapEventQueue`]. Parsed
-/// from `HCLOUD_QUEUE` with the same loud-failure contract as the other
-/// `HCLOUD_*` knobs; the two implementations are digest-identical, so
-/// the knob trades only wall clock, never results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QueueKind {
-    /// The hierarchical timing wheel (default).
-    Wheel,
-    /// The retained `BinaryHeap` reference implementation.
-    Heap,
-}
-
-impl QueueKind {
-    /// Both implementations, wheel first (comparison benches iterate
-    /// this).
-    pub const ALL: [QueueKind; 2] = [QueueKind::Wheel, QueueKind::Heap];
-
-    /// Stable display name, also the accepted `HCLOUD_QUEUE` spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueKind::Wheel => "wheel",
-            QueueKind::Heap => "heap",
-        }
-    }
-
-    /// Parses an `HCLOUD_QUEUE` value: `wheel` (default when unset) or
-    /// `heap`. Anything else is a hard error naming the variable, the
-    /// offending value, and what was expected.
-    pub fn parse(raw: Option<&str>) -> Result<Self, String> {
-        match raw {
-            None => Ok(QueueKind::Wheel),
-            Some("wheel") => Ok(QueueKind::Wheel),
-            Some("heap") => Ok(QueueKind::Heap),
-            Some(s) => Err(format!(
-                "invalid HCLOUD_QUEUE {s:?}: expected wheel (timing wheel, default) or heap"
-            )),
-        }
-    }
-}
-
-/// A handle to a scheduled event, returned by [`EventSink::schedule`] and
-/// accepted by [`EventQueueApi::cancel`]. Tokens are unique per queue for
-/// the queue's whole lifetime, so a token for an already-served (or
-/// already-cancelled) event is simply not found — cancellation can never
-/// hit the wrong event.
+/// A handle to a scheduled event, returned by [`EventSink::schedule`]:
+/// the event's insertion sequence number, unique per queue for the
+/// queue's whole lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventToken(u64);
 
 /// The write half of an event queue: anything that can accept scheduled
 /// events. Scheduler hot paths take `&mut impl EventSink<Event>` so the
-/// runner can drive them from either queue implementation.
+/// runner can hand them a wrapped queue (the profiling adapter, a timing
+/// replay) instead of the bare [`EventQueue`].
 pub trait EventSink<E> {
-    /// Schedules `event` at instant `at`; returns a token for [`cancel`].
-    ///
-    /// Scheduling in the past is a logic error in the caller; in debug
-    /// builds it panics, in release builds the event fires "now" (at the
-    /// current clock) to preserve monotonicity.
-    ///
-    /// [`cancel`]: EventQueueApi::cancel
+    /// Schedules `event` at instant `at`; see [`EventQueue::schedule`].
     fn schedule(&mut self, at: SimTime, event: E) -> EventToken;
-}
-
-/// The full event-queue contract shared by [`EventQueue`] (timing wheel)
-/// and [`HeapEventQueue`] (reference heap). The runner is generic over
-/// this trait, which is how the digest-identity benches prove the two
-/// implementations byte-identical end to end.
-pub trait EventQueueApi<E>: EventSink<E> + Default {
-    /// The current simulation instant: the timestamp of the most recently
-    /// popped event (or zero before any pop).
-    fn now(&self) -> SimTime;
-    /// Removes and returns the earliest event, advancing the clock to its
-    /// timestamp. Returns `None` when the queue is empty.
-    fn pop(&mut self) -> Option<(SimTime, E)>;
-    /// Removes a pending event by token. Returns `false` when the token's
-    /// event already fired or was already cancelled. O(n) worst case —
-    /// cancellation is an off-hot-path operation.
-    fn cancel(&mut self, token: EventToken) -> bool;
-    /// Drains every event due at the earliest pending timestamp into
-    /// `buf`, in (time, insertion) order, advancing the clock to that
-    /// timestamp. Returns the batch timestamp, or `None` when empty.
-    ///
-    /// Drained events count toward [`len`] until [`ack`]ed, so depth
-    /// telemetry matches a pop-one-dispatch-one loop exactly.
-    ///
-    /// [`len`]: EventQueueApi::len
-    /// [`ack`]: EventQueueApi::ack
-    fn drain_next_batch(&mut self, buf: &mut Vec<E>) -> Option<SimTime>;
-    /// Acknowledges one drained event as dispatched (see
-    /// [`drain_next_batch`]).
-    ///
-    /// [`drain_next_batch`]: EventQueueApi::drain_next_batch
-    fn ack(&mut self);
-    /// The timestamp of the earliest pending event, if any, without
-    /// popping.
-    fn peek_time(&self) -> Option<SimTime>;
-    /// Number of pending events (drained-but-unacked events included).
-    fn len(&self) -> usize;
-    /// Whether no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Total number of events ever scheduled on this queue.
-    fn scheduled_total(&self) -> u64;
-    /// High-water mark of pending events — how deep the queue ever got.
-    fn max_depth(&self) -> usize;
 }
 
 /// A pending event: a payload scheduled for an instant.
@@ -158,30 +58,6 @@ struct Scheduled<E> {
     at: SimTime,
     seq: u64,
     event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (then lowest-seq)
-        // event surfaces first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 /// A time-ordered event queue with stable FIFO tie-breaking, implemented
@@ -202,7 +78,10 @@ impl<E> Ord for Scheduled<E> {
 /// its level, and its slot digit is strictly greater than the clock's
 /// digit at that level. This makes lower levels strictly earlier than
 /// higher ones, so serving scans levels bottom-up and slots by lowest set
-/// bit.
+/// bit. It also keeps every bucket in insertion (sequence) order:
+/// `schedule` appends the newest sequence number, and a cascade re-files
+/// the served bucket's members in order into lower levels, which are empty
+/// whenever a higher level is served.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     /// Events due exactly at `now`, in insertion order.
@@ -219,8 +98,6 @@ pub struct EventQueue<E> {
     /// capacity across serves so the advance path stops allocating once
     /// the wheel is warm.
     serving: Vec<Scheduled<E>>,
-    /// Scratch buffer for entries arriving exactly at the cascade target.
-    arrived: Vec<Scheduled<E>>,
     next_seq: u64,
     now: SimTime,
     max_depth: usize,
@@ -242,7 +119,6 @@ impl<E> EventQueue<E> {
             pending: 0,
             outstanding: 0,
             serving: Vec::new(),
-            arrived: Vec::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             max_depth: 0,
@@ -265,8 +141,7 @@ impl<E> EventQueue<E> {
         (level, slot)
     }
 
-    /// Schedules `event` at instant `at`; returns a token for
-    /// [`EventQueue::cancel`].
+    /// Schedules `event` at instant `at`; returns its [`EventToken`].
     ///
     /// Scheduling in the past is a logic error in the caller; in debug
     /// builds it panics, in release builds the event fires "now" (at the
@@ -298,10 +173,11 @@ impl<E> EventQueue<E> {
     /// Serves the earliest occupied wheel position into `due`, advancing
     /// the clock. Caller guarantees `due` is empty and `pending > 0`.
     ///
-    /// The served bucket is swapped into a reusable scratch buffer (and
-    /// cascade arrivals into a second one) rather than moved out, so the
-    /// steady state performs no allocation: capacities circulate between
-    /// the scratch buffers and the buckets they serve.
+    /// The served bucket is swapped into a reusable scratch buffer rather
+    /// than moved out, so the steady state performs no allocation:
+    /// capacities circulate between the scratch buffer and the buckets it
+    /// serves. Buckets are in sequence order (see [`EventQueue`]), so the
+    /// members reach `due` already in FIFO order.
     fn advance(&mut self) {
         debug_assert!(self.due.is_empty());
         for level in 0..LEVELS {
@@ -313,6 +189,10 @@ impl<E> EventQueue<E> {
             std::mem::swap(&mut self.buckets[level * SLOTS + slot], &mut self.serving);
             self.occupied[level] &= !(1u64 << slot);
             debug_assert!(!self.serving.is_empty(), "occupancy bit without entries");
+            debug_assert!(
+                self.serving.windows(2).all(|w| w[0].seq < w[1].seq),
+                "bucket out of insertion order"
+            );
             if level == 0 {
                 // A level-0 bucket differs from `now` only in the digit it
                 // is keyed by: every member shares one exact timestamp.
@@ -320,8 +200,6 @@ impl<E> EventQueue<E> {
                 debug_assert!(self.serving.iter().all(|s| s.at == at));
                 debug_assert!(at > self.now, "event queue went backwards in time");
                 self.now = at;
-                // Cascades can interleave sequence numbers; restore FIFO.
-                self.serving.sort_unstable_by_key(|s| s.seq);
                 self.due.extend(self.serving.drain(..));
             } else {
                 // Cascade: the bucket's earliest timestamp becomes the new
@@ -335,10 +213,9 @@ impl<E> EventQueue<E> {
                 debug_assert!(target > self.now, "event queue went backwards in time");
                 self.now = target;
                 let now_us = target.as_micros();
-                debug_assert!(self.arrived.is_empty());
                 for s in self.serving.drain(..) {
                     if s.at == target {
-                        self.arrived.push(s);
+                        self.due.push_back(s);
                     } else {
                         // `level_slot` inlined against the new clock; the
                         // drain borrow keeps `&self` methods out of reach.
@@ -351,8 +228,6 @@ impl<E> EventQueue<E> {
                         self.occupied[l] |= 1 << sl;
                     }
                 }
-                self.arrived.sort_unstable_by_key(|s| s.seq);
-                self.due.extend(self.arrived.drain(..));
             }
             return;
         }
@@ -373,36 +248,15 @@ impl<E> EventQueue<E> {
         Some((s.at, s.event))
     }
 
-    /// Removes a pending event by token; see [`EventQueueApi::cancel`].
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        if let Some(pos) = self.due.iter().position(|s| s.seq == token.0) {
-            self.due.remove(pos);
-            self.pending -= 1;
-            return true;
-        }
-        for level in 0..LEVELS {
-            let mut bits = self.occupied[level];
-            while bits != 0 {
-                let slot = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let bucket = &mut self.buckets[level * SLOTS + slot];
-                if let Some(pos) = bucket.iter().position(|s| s.seq == token.0) {
-                    // Buckets are re-sorted at serve time, so order of the
-                    // remaining entries does not matter.
-                    bucket.swap_remove(pos);
-                    if bucket.is_empty() {
-                        self.occupied[level] &= !(1u64 << slot);
-                    }
-                    self.pending -= 1;
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Drains the next same-timestamp batch; see
-    /// [`EventQueueApi::drain_next_batch`].
+    /// Drains every event due at the earliest pending timestamp into
+    /// `buf`, in (time, insertion) order, advancing the clock to that
+    /// timestamp. Returns the batch timestamp, or `None` when empty.
+    ///
+    /// Drained events count toward [`len`] until [`ack`]ed, so depth
+    /// telemetry matches a pop-one-dispatch-one loop exactly.
+    ///
+    /// [`len`]: EventQueue::len
+    /// [`ack`]: EventQueue::ack
     pub fn drain_next_batch(&mut self, buf: &mut Vec<E>) -> Option<SimTime> {
         debug_assert_eq!(self.outstanding, 0, "previous batch not fully acked");
         buf.clear();
@@ -419,30 +273,11 @@ impl<E> EventQueue<E> {
         Some(self.now)
     }
 
-    /// Acknowledges one drained event as dispatched; see
-    /// [`EventQueueApi::ack`].
+    /// Acknowledges one drained event as dispatched (see
+    /// [`EventQueue::drain_next_batch`]).
     pub fn ack(&mut self) {
         debug_assert!(self.outstanding > 0, "ack without a drained event");
         self.outstanding = self.outstanding.saturating_sub(1);
-    }
-
-    /// The timestamp of the earliest pending event, if any, without popping.
-    /// May scan one bucket (O of its size); not a hot-path operation.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(s) = self.due.front() {
-            return Some(s.at);
-        }
-        for level in 0..LEVELS {
-            if self.occupied[level] == 0 {
-                continue;
-            }
-            let slot = self.occupied[level].trailing_zeros() as usize;
-            return self.buckets[level * SLOTS + slot]
-                .iter()
-                .map(|s| s.at)
-                .min();
-        }
-        None
     }
 
     /// Number of pending events (drained-but-unacked events included).
@@ -472,385 +307,104 @@ impl<E> EventSink<E> for EventQueue<E> {
     }
 }
 
-impl<E> EventQueueApi<E> for EventQueue<E> {
-    fn now(&self) -> SimTime {
-        EventQueue::now(self)
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        EventQueue::pop(self)
-    }
-    fn cancel(&mut self, token: EventToken) -> bool {
-        EventQueue::cancel(self, token)
-    }
-    fn drain_next_batch(&mut self, buf: &mut Vec<E>) -> Option<SimTime> {
-        EventQueue::drain_next_batch(self, buf)
-    }
-    fn ack(&mut self) {
-        EventQueue::ack(self)
-    }
-    fn peek_time(&self) -> Option<SimTime> {
-        EventQueue::peek_time(self)
-    }
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-    fn scheduled_total(&self) -> u64 {
-        EventQueue::scheduled_total(self)
-    }
-    fn max_depth(&self) -> usize {
-        EventQueue::max_depth(self)
-    }
-}
-
-/// The retained `BinaryHeap` reference implementation of
-/// [`EventQueueApi`]: the pre-timing-wheel queue, kept as the behavioural
-/// oracle for the differential property tests and the heap-vs-wheel
-/// digest-identity benches.
-#[derive(Debug)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    outstanding: usize,
-    next_seq: u64,
-    now: SimTime,
-    max_depth: usize,
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Creates an empty queue with the clock at [`SimTime::ZERO`].
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            outstanding: 0,
-            next_seq: 0,
-            now: SimTime::ZERO,
-            max_depth: 0,
-        }
-    }
-
-    /// See [`EventSink::schedule`].
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventToken {
-        debug_assert!(
-            at >= self.now,
-            "scheduled an event in the past: {at} < {now}",
-            at = at,
-            now = self.now
-        );
-        let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Scheduled { at, seq, event });
-        self.max_depth = self.max_depth.max(self.len());
-        EventToken(seq)
-    }
-
-    /// See [`EventQueueApi::pop`].
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = self.heap.pop()?;
-        debug_assert!(s.at >= self.now, "event queue went backwards in time");
-        self.now = s.at;
-        Some((s.at, s.event))
-    }
-
-    /// See [`EventQueueApi::cancel`]. O(n): rebuilds the heap without the
-    /// cancelled entry.
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        let before = entries.len();
-        entries.retain(|s| s.seq != token.0);
-        let found = entries.len() != before;
-        self.heap = BinaryHeap::from(entries);
-        found
-    }
-
-    /// See [`EventQueueApi::drain_next_batch`].
-    pub fn drain_next_batch(&mut self, buf: &mut Vec<E>) -> Option<SimTime> {
-        debug_assert_eq!(self.outstanding, 0, "previous batch not fully acked");
-        buf.clear();
-        let (t, first) = self.pop()?;
-        buf.push(first);
-        while self.heap.peek().is_some_and(|s| s.at == t) {
-            let s = self.heap.pop().expect("peeked");
-            buf.push(s.event);
-        }
-        self.outstanding += buf.len();
-        Some(t)
-    }
-
-    /// See [`EventQueueApi::ack`].
-    pub fn ack(&mut self) {
-        debug_assert!(self.outstanding > 0, "ack without a drained event");
-        self.outstanding = self.outstanding.saturating_sub(1);
-    }
-
-    /// See [`EventQueueApi::peek_time`].
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
-    }
-
-    /// See [`EventQueueApi::len`].
-    pub fn len(&self) -> usize {
-        self.heap.len() + self.outstanding
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// See [`EventQueueApi::scheduled_total`].
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// See [`EventQueueApi::max_depth`].
-    pub fn max_depth(&self) -> usize {
-        self.max_depth
-    }
-
-    /// See [`EventQueueApi::now`].
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-}
-
-impl<E> EventSink<E> for HeapEventQueue<E> {
-    fn schedule(&mut self, at: SimTime, event: E) -> EventToken {
-        HeapEventQueue::schedule(self, at, event)
-    }
-}
-
-impl<E> EventQueueApi<E> for HeapEventQueue<E> {
-    fn now(&self) -> SimTime {
-        HeapEventQueue::now(self)
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        HeapEventQueue::pop(self)
-    }
-    fn cancel(&mut self, token: EventToken) -> bool {
-        HeapEventQueue::cancel(self, token)
-    }
-    fn drain_next_batch(&mut self, buf: &mut Vec<E>) -> Option<SimTime> {
-        HeapEventQueue::drain_next_batch(self, buf)
-    }
-    fn ack(&mut self) {
-        HeapEventQueue::ack(self)
-    }
-    fn peek_time(&self) -> Option<SimTime> {
-        HeapEventQueue::peek_time(self)
-    }
-    fn len(&self) -> usize {
-        HeapEventQueue::len(self)
-    }
-    fn scheduled_total(&self) -> u64 {
-        HeapEventQueue::scheduled_total(self)
-    }
-    fn max_depth(&self) -> usize {
-        HeapEventQueue::max_depth(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::time::SimDuration;
 
-    /// Runs `body` against both queue implementations, so every behaviour
-    /// below is pinned for the wheel and the heap reference alike.
-    fn on_both(body: impl Fn(&mut dyn DynQueue)) {
-        body(&mut EventQueue::<i64>::new());
-        body(&mut HeapEventQueue::<i64>::new());
-    }
-
-    /// Object-safe shim over `EventQueueApi<i64>` for the shared tests.
-    trait DynQueue {
-        fn schedule(&mut self, at: SimTime, e: i64) -> EventToken;
-        fn pop(&mut self) -> Option<(SimTime, i64)>;
-        fn cancel(&mut self, token: EventToken) -> bool;
-        fn now(&self) -> SimTime;
-        fn peek_time(&self) -> Option<SimTime>;
-        fn len(&self) -> usize;
-        fn is_empty(&self) -> bool;
-        fn scheduled_total(&self) -> u64;
-        fn max_depth(&self) -> usize;
-        fn drain_next_batch(&mut self, buf: &mut Vec<i64>) -> Option<SimTime>;
-        fn ack(&mut self);
-    }
-
-    impl<Q: EventQueueApi<i64>> DynQueue for Q {
-        fn schedule(&mut self, at: SimTime, e: i64) -> EventToken {
-            EventSink::schedule(self, at, e)
-        }
-        fn pop(&mut self) -> Option<(SimTime, i64)> {
-            EventQueueApi::pop(self)
-        }
-        fn cancel(&mut self, token: EventToken) -> bool {
-            EventQueueApi::cancel(self, token)
-        }
-        fn now(&self) -> SimTime {
-            EventQueueApi::now(self)
-        }
-        fn peek_time(&self) -> Option<SimTime> {
-            EventQueueApi::peek_time(self)
-        }
-        fn len(&self) -> usize {
-            EventQueueApi::len(self)
-        }
-        fn is_empty(&self) -> bool {
-            EventQueueApi::is_empty(self)
-        }
-        fn scheduled_total(&self) -> u64 {
-            EventQueueApi::scheduled_total(self)
-        }
-        fn max_depth(&self) -> usize {
-            EventQueueApi::max_depth(self)
-        }
-        fn drain_next_batch(&mut self, buf: &mut Vec<i64>) -> Option<SimTime> {
-            EventQueueApi::drain_next_batch(self, buf)
-        }
-        fn ack(&mut self) {
-            EventQueueApi::ack(self)
-        }
-    }
-
     #[test]
     fn pops_in_time_order() {
-        on_both(|q| {
-            q.schedule(SimTime::from_secs(3), 3);
-            q.schedule(SimTime::from_secs(1), 1);
-            q.schedule(SimTime::from_secs(2), 2);
-            let order: Vec<i64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, vec![1, 2, 3]);
-        });
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(3), 3);
+        q.schedule(SimTime::from_secs(1), 1);
+        q.schedule(SimTime::from_secs(2), 2);
+        let order: Vec<i64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
     fn simultaneous_events_pop_fifo() {
-        on_both(|q| {
-            let t = SimTime::from_secs(7);
-            for i in 0..100 {
-                q.schedule(t, i);
-            }
-            let order: Vec<i64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
-        });
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(7);
+        for i in 0..100 {
+            q.schedule(t, i);
+        }
+        let order: Vec<i64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
-    fn clock_advances_with_pops() {
-        on_both(|q| {
-            q.schedule(SimTime::from_secs(5), 0);
-            assert_eq!(q.now(), SimTime::ZERO);
-            q.pop();
-            assert_eq!(q.now(), SimTime::from_secs(5));
-        });
-    }
-
-    #[test]
-    fn peek_does_not_advance() {
-        on_both(|q| {
-            q.schedule(SimTime::from_secs(2), 0);
-            assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
-            assert_eq!(q.now(), SimTime::ZERO);
-            assert_eq!(q.len(), 1);
-        });
+    fn clock_advances_with_pops_not_schedules() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(5), 0);
+        assert_eq!(q.now(), SimTime::ZERO);
+        assert_eq!(q.len(), 1);
+        q.pop();
+        assert_eq!(q.now(), SimTime::from_secs(5));
     }
 
     #[test]
     fn interleaved_schedule_and_pop_stays_monotonic() {
-        on_both(|q| {
-            q.schedule(SimTime::from_secs(1), 0);
-            let (t1, _) = q.pop().unwrap();
-            q.schedule(t1 + SimDuration::from_secs(1), 1);
-            q.schedule(t1 + SimDuration::from_secs(3), 3);
-            q.schedule(t1 + SimDuration::from_secs(2), 2);
-            let mut last = t1;
-            while let Some((t, _)) = q.pop() {
-                assert!(t >= last);
-                last = t;
-            }
-        });
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(1), 0);
+        let (t1, _) = q.pop().unwrap();
+        q.schedule(t1 + SimDuration::from_secs(1), 1);
+        q.schedule(t1 + SimDuration::from_secs(3), 3);
+        q.schedule(t1 + SimDuration::from_secs(2), 2);
+        let mut last = t1;
+        while let Some((t, _)) = q.pop() {
+            assert!(t >= last);
+            last = t;
+        }
     }
 
     #[test]
     fn tracks_scheduling_statistics() {
-        on_both(|q| {
-            assert_eq!(q.scheduled_total(), 0);
-            assert_eq!(q.max_depth(), 0);
-            q.schedule(SimTime::from_secs(1), 1);
-            q.schedule(SimTime::from_secs(2), 2);
-            assert_eq!(q.max_depth(), 2);
-            q.pop();
-            q.pop();
-            q.schedule(SimTime::from_secs(3), 3);
-            assert_eq!(q.scheduled_total(), 3, "total counts every schedule");
-            assert_eq!(q.max_depth(), 2, "high-water mark survives drains");
-        });
+        let mut q = EventQueue::new();
+        assert_eq!(q.scheduled_total(), 0);
+        assert_eq!(q.max_depth(), 0);
+        q.schedule(SimTime::from_secs(1), 1);
+        q.schedule(SimTime::from_secs(2), 2);
+        assert_eq!(q.max_depth(), 2);
+        q.pop();
+        q.pop();
+        q.schedule(SimTime::from_secs(3), 3);
+        assert_eq!(q.scheduled_total(), 3, "total counts every schedule");
+        assert_eq!(q.max_depth(), 2, "high-water mark survives drains");
     }
 
     #[test]
     fn empty_queue_behaviour() {
-        on_both(|q| {
-            assert!(q.is_empty());
-            assert_eq!(q.pop(), None);
-            assert_eq!(q.peek_time(), None);
-        });
-    }
-
-    #[test]
-    fn cancel_removes_exactly_the_tokened_event() {
-        on_both(|q| {
-            let t = SimTime::from_secs(2);
-            let _a = q.schedule(t, 1);
-            let b = q.schedule(t, 2);
-            let _c = q.schedule(SimTime::from_secs(9), 3);
-            assert!(q.cancel(b), "pending event cancels");
-            assert!(!q.cancel(b), "second cancel finds nothing");
-            assert_eq!(q.len(), 2);
-            let order: Vec<i64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, vec![1, 3]);
-        });
-    }
-
-    #[test]
-    fn cancel_after_fire_is_a_no_op() {
-        on_both(|q| {
-            let a = q.schedule(SimTime::from_secs(1), 1);
-            assert_eq!(q.pop(), Some((SimTime::from_secs(1), 1)));
-            assert!(!q.cancel(a), "fired events cannot be cancelled");
-        });
+        let mut q = EventQueue::<i64>::new();
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.drain_next_batch(&mut Vec::new()), None);
     }
 
     #[test]
     fn drain_serves_whole_timestamps_and_len_tracks_acks() {
-        on_both(|q| {
-            let t = SimTime::from_secs(4);
-            q.schedule(t, 1);
-            q.schedule(t, 2);
-            q.schedule(SimTime::from_secs(9), 3);
-            let mut buf = Vec::new();
-            assert_eq!(q.drain_next_batch(&mut buf), Some(t));
-            assert_eq!(buf, vec![1, 2]);
-            assert_eq!(q.len(), 3, "drained events still count until acked");
-            q.ack();
-            assert_eq!(q.len(), 2, "ack mirrors a sequential pop");
-            // Scheduling mid-batch lands the event in the next batch at
-            // the same timestamp.
-            q.schedule(t, 4);
-            q.ack();
-            assert_eq!(q.drain_next_batch(&mut buf), Some(t));
-            assert_eq!(buf, vec![4]);
-            q.ack();
-            assert_eq!(q.drain_next_batch(&mut buf), Some(SimTime::from_secs(9)));
-            assert_eq!(buf, vec![3]);
-            q.ack();
-            assert_eq!(q.drain_next_batch(&mut buf), None);
-        });
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(4);
+        q.schedule(t, 1);
+        q.schedule(t, 2);
+        q.schedule(SimTime::from_secs(9), 3);
+        let mut buf = Vec::new();
+        assert_eq!(q.drain_next_batch(&mut buf), Some(t));
+        assert_eq!(buf, vec![1, 2]);
+        assert_eq!(q.len(), 3, "drained events still count until acked");
+        q.ack();
+        assert_eq!(q.len(), 2, "ack mirrors a sequential pop");
+        // Scheduling mid-batch lands the event in the next batch at the
+        // same timestamp.
+        q.schedule(t, 4);
+        q.ack();
+        assert_eq!(q.drain_next_batch(&mut buf), Some(t));
+        assert_eq!(buf, vec![4]);
+        q.ack();
+        assert_eq!(q.drain_next_batch(&mut buf), Some(SimTime::from_secs(9)));
+        assert_eq!(buf, vec![3]);
+        q.ack();
+        assert_eq!(q.drain_next_batch(&mut buf), None);
     }
 
     #[test]

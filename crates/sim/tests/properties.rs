@@ -1,13 +1,28 @@
 //! Property-based tests for the simulation substrate.
 
+#[path = "reference/heap_queue.rs"]
+mod heap_queue;
+
 use hcloud_sim::dist::{Dist, Sample};
-use hcloud_sim::event::{EventQueue, EventQueueApi, EventToken, HeapEventQueue};
+use hcloud_sim::event::{EventQueue, LEVEL_BITS};
 use hcloud_sim::rng::{RngFactory, SimRng};
 use hcloud_sim::series::StepSeries;
 use hcloud_sim::slot::{SlotKey, SlotMap};
 use hcloud_sim::stats::{percentile, percentile_sorted, Boxplot, Cdf, OnlineStats, QuantileSet};
 use hcloud_sim::{SimDuration, SimTime};
+use heap_queue::HeapEventQueue;
 use proptest::prelude::*;
+
+/// Asserts the timing wheel and the reference heap agree on every
+/// observable that does not consume events.
+fn same_state(wheel: &EventQueue<u64>, heap: &HeapEventQueue<u64>) -> Result<(), TestCaseError> {
+    prop_assert_eq!(wheel.len(), heap.len());
+    prop_assert_eq!(wheel.is_empty(), heap.is_empty());
+    prop_assert_eq!(wheel.now(), heap.now());
+    prop_assert_eq!(wheel.scheduled_total(), heap.scheduled_total());
+    prop_assert_eq!(wheel.max_depth(), heap.max_depth());
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -17,85 +32,95 @@ proptest! {
     // ---------------------------------------------------------------
 
     /// Pops come out in (time, insertion) order — exactly a stable sort.
-    /// Pinned for both the timing wheel and the retained heap reference.
     #[test]
     fn event_queue_is_a_stable_sort(times in prop::collection::vec(0u64..1000, 1..200)) {
-        fn check<Q: EventQueueApi<usize>>(times: &[u64]) -> Result<(), TestCaseError> {
-            let mut q = Q::default();
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime::from_secs(t), i);
-            }
-            let mut reference: Vec<(u64, usize)> =
-                times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-            reference.sort(); // stable: ties keep insertion order
-            let popped: Vec<(u64, usize)> = std::iter::from_fn(|| q.pop())
-                .map(|(t, i)| (t.as_micros() / 1_000_000, i))
-                .collect();
-            prop_assert_eq!(popped, reference);
-            Ok(())
+        let mut q = EventQueue::new();
+        for (i, &t) in times.iter().enumerate() {
+            q.schedule(SimTime::from_secs(t), i);
         }
-        check::<EventQueue<usize>>(&times)?;
-        check::<HeapEventQueue<usize>>(&times)?;
+        let mut reference: Vec<(u64, usize)> =
+            times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
+        reference.sort(); // stable: ties keep insertion order
+        let popped: Vec<(u64, usize)> = std::iter::from_fn(|| q.pop())
+            .map(|(t, i)| (t.as_micros() / 1_000_000, i))
+            .collect();
+        prop_assert_eq!(popped, reference);
     }
 
     /// The clock never runs backwards regardless of interleaving.
     #[test]
     fn event_queue_clock_is_monotone(ops in prop::collection::vec((0u64..500, proptest::bool::ANY), 1..100)) {
-        fn check<Q: EventQueueApi<()>>(ops: &[(u64, bool)]) -> Result<(), TestCaseError> {
-            let mut q = Q::default();
-            let mut last = SimTime::ZERO;
-            for &(offset, pop) in ops {
-                q.schedule(q.now() + SimDuration::from_secs(offset), ());
-                if pop {
-                    if let Some((t, _)) = q.pop() {
-                        prop_assert!(t >= last);
-                        last = t;
-                    }
+        let mut q = EventQueue::new();
+        let mut last = SimTime::ZERO;
+        for (offset, pop) in ops {
+            q.schedule(q.now() + SimDuration::from_secs(offset), ());
+            if pop {
+                if let Some((t, _)) = q.pop() {
+                    prop_assert!(t >= last);
+                    last = t;
                 }
             }
-            Ok(())
         }
-        check::<EventQueue<()>>(&ops)?;
-        check::<HeapEventQueue<()>>(&ops)?;
     }
 
-    /// Differential test: the timing wheel and the heap reference agree on
-    /// every observable — pop order, cancel outcomes, clock, depth
-    /// telemetry — under random schedule/pop/cancel interleavings.
+    /// Differential test: the timing wheel and the reference heap agree on
+    /// every observable — pop order, batch contents, clock, depth
+    /// telemetry — under random schedule/pop/drain interleavings. A drain
+    /// takes a whole batch and, between `ack`s, schedules events at the
+    /// batch instant (which must form the next batch at the same instant)
+    /// and later, the way the runner's event handlers do.
     #[test]
     fn wheel_matches_heap_on_random_interleavings(
         ops in prop::collection::vec((0u8..4, 0u64..2000, any::<u16>()), 1..300),
     ) {
         let mut wheel: EventQueue<u64> = EventQueue::new();
         let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
-        let mut tokens: Vec<(EventToken, EventToken)> = Vec::new();
         let mut payload = 0u64;
+        let (mut wb, mut hb) = (Vec::new(), Vec::new());
         for (op, offset, pick) in ops {
             match op {
-                // Schedule (twice as likely as the other ops) — offsets
-                // are relative to the current clock, occasionally zero to
-                // exercise the same-instant FIFO path.
+                // Schedule (twice as likely as the other ops), relative to
+                // the current clock: either a fine-grained offset, or one
+                // of 40 coarse offsets (zero among them) so that instants
+                // collide into multi-event batches, at every wheel level.
                 0 | 1 => {
-                    let at = wheel.now() + SimDuration::from_micros(offset * offset);
-                    let tw = wheel.schedule(at, payload);
-                    let th = heap.schedule(at, payload);
-                    tokens.push((tw, th));
+                    let delta = if pick & 1 == 0 {
+                        offset * offset
+                    } else {
+                        (offset % 8) << (LEVEL_BITS as u64 * (offset / 8 % 5))
+                    };
+                    let at = wheel.now() + SimDuration::from_micros(delta);
+                    wheel.schedule(at, payload);
+                    heap.schedule(at, payload);
                     payload += 1;
                 }
                 2 => {
                     prop_assert_eq!(wheel.pop(), heap.pop());
                 }
-                _ if !tokens.is_empty() => {
-                    let (tw, th) = tokens[pick as usize % tokens.len()];
-                    prop_assert_eq!(wheel.cancel(tw), heap.cancel(th));
+                _ => {
+                    let t = wheel.drain_next_batch(&mut wb);
+                    prop_assert_eq!(t, heap.drain_next_batch(&mut hb));
+                    prop_assert_eq!(&wb, &hb);
+                    for k in 0..wb.len() {
+                        wheel.ack();
+                        heap.ack();
+                        same_state(&wheel, &heap)?;
+                        // Two bits of `pick` per acked event: nothing, an
+                        // event at the batch instant, or one later.
+                        let at = match (pick >> (2 * (k % 7) + 1)) & 3 {
+                            0 => continue,
+                            1 => wheel.now(),
+                            2 => wheel.now() + SimDuration::from_micros(offset),
+                            _ => wheel.now() + SimDuration::from_micros(offset * offset),
+                        };
+                        wheel.schedule(at, payload);
+                        heap.schedule(at, payload);
+                        payload += 1;
+                        same_state(&wheel, &heap)?;
+                    }
                 }
-                _ => {}
             }
-            prop_assert_eq!(wheel.len(), heap.len());
-            prop_assert_eq!(wheel.now(), heap.now());
-            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-            prop_assert_eq!(wheel.scheduled_total(), heap.scheduled_total());
-            prop_assert_eq!(wheel.max_depth(), heap.max_depth());
+            same_state(&wheel, &heap)?;
         }
         // Drain both to the end: remaining order must match exactly.
         loop {
@@ -105,20 +130,21 @@ proptest! {
                 break;
             }
         }
+        same_state(&wheel, &heap)?;
     }
 
-    /// Differential test for the batch API: draining same-timestamp
-    /// batches yields identical slices and identical depth accounting on
-    /// both implementations.
+    /// Differential test for the batch API on a preloaded queue: draining
+    /// same-timestamp batches yields identical slices and identical depth
+    /// accounting on both.
     #[test]
     fn wheel_matches_heap_on_batch_drains(
         times in prop::collection::vec(0u64..50, 1..200),
     ) {
-        let mut wheel: EventQueue<usize> = EventQueue::new();
-        let mut heap: HeapEventQueue<usize> = HeapEventQueue::new();
+        let mut wheel: EventQueue<u64> = EventQueue::new();
+        let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
         for (i, &t) in times.iter().enumerate() {
-            wheel.schedule(SimTime::from_secs(t), i);
-            heap.schedule(SimTime::from_secs(t), i);
+            wheel.schedule(SimTime::from_secs(t), i as u64);
+            heap.schedule(SimTime::from_secs(t), i as u64);
         }
         let (mut wb, mut hb) = (Vec::new(), Vec::new());
         loop {
@@ -129,7 +155,7 @@ proptest! {
                 break;
             }
             for _ in 0..wb.len() {
-                prop_assert_eq!(wheel.len(), heap.len());
+                same_state(&wheel, &heap)?;
                 wheel.ack();
                 heap.ack();
             }
