@@ -17,7 +17,7 @@
 //! spin-up overhead, but only if they delivered predictably high quality;
 //! poorly-performing instances are released immediately (Section 3.2).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use hcloud_audit::{AuditViolation, AuditViolationKind, Auditor};
 use hcloud_cloud::{AcquireFailure, Cloud, Family, InstanceId, InstanceType};
@@ -100,6 +100,10 @@ struct SchedInstance {
     /// which floating-point addition makes order-bearing.
     jobs: Vec<(JobId, SlotKey)>,
     retention_token: u64,
+    /// Co-runner epoch: re-drawn from the scheduler-wide clock whenever
+    /// the started jobs bound here, or their core weights, may change.
+    /// A co-runner memo stamped with another value is stale.
+    co_epoch: u64,
 }
 
 impl SchedInstance {
@@ -163,6 +167,14 @@ struct RunningJob {
     isolation_p99: f64,
     qos_bad_ticks: u32,
     rescheduled: bool,
+}
+
+/// A running job's memoized co-runner pressure and the instance epoch it
+/// was computed at; see [`Scheduler::co_runner_pressure`].
+#[derive(Debug, Clone, Copy)]
+struct CoRunnerMemo {
+    epoch: u64,
+    pressure: ResourceVector,
 }
 
 /// The outcome of a pool placement search: an instance that satisfies the
@@ -288,9 +300,20 @@ pub struct Scheduler<'a> {
     /// an order floating-point accumulation makes order-bearing.
     running: SlotMap<RunningJob>,
     running_by_id: BTreeMap<JobId, SlotKey>,
-    /// Scratch buffer for the tick's snapshot of running job ids, kept
-    /// across ticks so the per-tick job update allocates nothing.
-    tick_jobs: Vec<JobId>,
+    /// Scratch buffer for the tick's snapshot of running jobs (id and
+    /// arena slot), kept across ticks so the per-tick job update
+    /// allocates nothing.
+    tick_jobs: Vec<(JobId, SlotKey)>,
+    /// The clock co-runner epochs are drawn from. One counter for the
+    /// whole scheduler, so no epoch value is ever issued twice: a memo
+    /// stamped on one instance can never match another.
+    co_epoch_clock: u64,
+    /// Co-runner pressure memo, keyed by arena slot: each live running
+    /// job's last `internal_pressure(instance, Some(job))`, stamped with
+    /// the instance's `co_epoch` at the time. Holds live jobs only
+    /// (`remove_running` drops the entry) and is only ever looked up,
+    /// never iterated.
+    co_memo: HashMap<SlotKey, CoRunnerMemo>,
     /// Scenario job id → index into `scenario.jobs()`, built once at
     /// construction so typed arrivals resolve without trusting raw
     /// indices (`Scenario::from_jobs` permits arbitrary ids).
@@ -369,6 +392,7 @@ impl<'a> Scheduler<'a> {
                     used_cores: 0,
                     jobs: Vec::new(),
                     retention_token: 0,
+                    co_epoch: 0,
                 }))
             })
             .collect();
@@ -409,6 +433,8 @@ impl<'a> Scheduler<'a> {
             running: SlotMap::new(),
             running_by_id: BTreeMap::new(),
             tick_jobs: Vec::new(),
+            co_epoch_clock: 0,
+            co_memo: HashMap::new(),
             job_index,
             outcomes: Vec::new(),
             od_allocated: StepSeries::new(0.0),
@@ -470,21 +496,18 @@ impl<'a> Scheduler<'a> {
     }
 
     /// The running job with scenario id `jid`, if any.
+    #[cfg(test)]
     fn running_job(&self, jid: JobId) -> Option<&RunningJob> {
         let &key = self.running_by_id.get(&jid)?;
         Some(self.running.get(key).expect("id-index entry is live"))
     }
 
-    /// Mutable access to the running job with scenario id `jid`.
-    fn running_job_mut(&mut self, jid: JobId) -> Option<&mut RunningJob> {
-        let &key = self.running_by_id.get(&jid)?;
-        Some(self.running.get_mut(key).expect("id-index entry is live"))
-    }
-
     /// Removes `jid` from the running set, retiring its arena slot so any
-    /// key still held for it (e.g. in an instance's job list) fails typed.
+    /// key still held for it (e.g. in an instance's job list) fails typed,
+    /// and dropping its co-runner memo.
     fn remove_running(&mut self, jid: JobId) -> Option<RunningJob> {
         let key = self.running_by_id.remove(&jid)?;
+        self.co_memo.remove(&key);
         let job = self
             .running
             .get(key)
@@ -492,6 +515,15 @@ impl<'a> Scheduler<'a> {
             .clone();
         self.running.retire(key).expect("id-index entry is live");
         Some(job)
+    }
+
+    /// Re-draws `h`'s co-runner epoch, invalidating every memo stamped
+    /// with the old one. Called wherever the started jobs bound to `h`,
+    /// or their core weights, may change.
+    fn bump_co_epoch(&mut self, h: InstanceHandle) {
+        self.co_epoch_clock += 1;
+        let epoch = self.co_epoch_clock;
+        self.inst_mut(h).co_epoch = epoch;
     }
 
     /// Binds `jid` (living in arena slot `key`) to `h`, charging `cores`,
@@ -514,6 +546,7 @@ impl<'a> Scheduler<'a> {
         let od = !inst.reserved;
         let cloud_id = inst.cloud_id.raw();
         let bucket = (inst.itype.family(), inst.itype.vcpus(), h);
+        self.bump_co_epoch(h);
         self.auditor.cores_bound(now, cloud_id, cores);
         if od && self.idle_buckets.remove(&bucket) {
             self.counters.index_rebuilds += 1;
@@ -554,6 +587,7 @@ impl<'a> Scheduler<'a> {
         inst.jobs.retain(|&(j, _)| j != jid);
         let empty = inst.jobs.is_empty();
         let cloud_id = inst.cloud_id.raw();
+        self.bump_co_epoch(h);
         self.auditor.cores_unbound(now, cloud_id, cores);
         Ok(empty)
     }
@@ -1384,6 +1418,7 @@ impl<'a> Scheduler<'a> {
                 used_cores: 0,
                 jobs: Vec::new(),
                 retention_token: 0,
+                co_epoch: 0,
             },
             itype,
         )
@@ -1441,6 +1476,7 @@ impl<'a> Scheduler<'a> {
                 used_cores: 0,
                 jobs: Vec::new(),
                 retention_token: 0,
+                co_epoch: 0,
             },
             itype,
         );
@@ -1505,28 +1541,22 @@ impl<'a> Scheduler<'a> {
         // destroys, before releasing the instance — re-admission must
         // never pack onto the dying host.
         let mut displaced = Vec::with_capacity(victims.len());
-        for &(jid, _) in &victims {
-            // Field-level lookup (not `running_job`) so the job borrow
-            // stays disjoint from the counters we bump below.
-            let Some(job) = self
-                .running_by_id
-                .get(&jid)
-                .and_then(|&key| self.running.get(key).ok())
-            else {
+        for &(jid, key) in &victims {
+            let Ok(job) = self.running.get(key) else {
                 continue;
             };
             self.counters.spot_terminations += 1;
-            let cores = job.cores;
+            let (cores, started, last_progress) = (job.cores, job.started, job.last_progress);
             let spec = &self.scenario.jobs()[job.spec_idx];
             // Work done since the last checkpoint tick is redone from
             // the checkpoint: it was real core-time, now lost.
-            let lost = if job.started && matches!(spec.kind, JobKind::Batch { .. }) {
+            let lost = if started && matches!(spec.kind, JobKind::Batch { .. }) {
                 let eff = cores.min(spec.cores).max(1) as f64;
-                let slowdown = self.current_slowdown(jid, now);
+                let slowdown = self.current_slowdown(jid, key, now);
                 let since = audited_since(
                     &self.auditor,
                     now,
-                    job.last_progress,
+                    last_progress,
                     jid.0,
                     "spot-termination work loss",
                 );
@@ -1627,17 +1657,19 @@ impl<'a> Scheduler<'a> {
         if let Some(ts) = self.tenancy.as_mut() {
             ts.fair.release(jid.0);
         }
-        if self.running_by_id.contains_key(&jid) {
+        if let Some(&key) = self.running_by_id.get(&jid) {
             let (lost, cores, inst_h) = {
-                let job = self.running_job(jid).expect("victim is running");
+                let job = self.running.get(key).expect("id-index entry is live");
+                let (cores, inst_h, started, last_progress) =
+                    (job.cores, job.instance, job.started, job.last_progress);
                 let spec = &self.scenario.jobs()[job.spec_idx];
-                let lost = if job.started && matches!(spec.kind, JobKind::Batch { .. }) {
-                    let eff = job.cores.min(spec.cores).max(1) as f64;
-                    let slowdown = self.current_slowdown(jid, now);
+                let lost = if started && matches!(spec.kind, JobKind::Batch { .. }) {
+                    let eff = cores.min(spec.cores).max(1) as f64;
+                    let slowdown = self.current_slowdown(jid, key, now);
                     let since = audited_since(
                         &self.auditor,
                         now,
-                        job.last_progress,
+                        last_progress,
                         jid.0,
                         "tenant-preemption work loss",
                     );
@@ -1645,7 +1677,7 @@ impl<'a> Scheduler<'a> {
                 } else {
                     0.0
                 };
-                (lost, job.cores, job.instance)
+                (lost, cores, inst_h)
             };
             self.counters.work_lost_core_secs += lost;
             self.auditor.work_lost(now, jid.0, lost);
@@ -1966,23 +1998,43 @@ impl<'a> Scheduler<'a> {
         total.scale(self.config.internal_pressure_scale)
     }
 
-    /// The total pressure a job experiences right now: external tenants
-    /// plus co-scheduled jobs.
-    fn pressure_on(&self, jid: JobId, now: SimTime) -> ResourceVector {
-        let job = self.running_job(jid).expect("running");
-        let inst = self.inst(job.instance);
-        let external = self.cloud.external_pressure(inst.cloud_id, now);
-        external.add(&self.internal_pressure(job.instance, Some(jid)))
+    /// The pressure running job `jid` (arena slot `key`) feels from its
+    /// co-runners: `internal_pressure(instance, Some(jid))`, memoized.
+    ///
+    /// The memo is stamped with the instance's co-runner epoch and is
+    /// recomputed only when the epoch moved, so a monitor tick pays one
+    /// lookup per job instead of a walk over every co-located job. Epochs
+    /// come from one scheduler-wide clock, so a job that migrated can
+    /// never match a memo stamped on its old instance.
+    fn co_runner_pressure(&mut self, jid: JobId, key: SlotKey) -> ResourceVector {
+        let h = self.running.get(key).expect("live running key").instance;
+        let epoch = self.inst(h).co_epoch;
+        if let Some(memo) = self.co_memo.get(&key) {
+            if memo.epoch == epoch {
+                debug_assert_eq!(
+                    memo.pressure,
+                    self.internal_pressure(h, Some(jid)),
+                    "stale co-runner memo for job {}",
+                    jid.0
+                );
+                return memo.pressure;
+            }
+        }
+        let pressure = self.internal_pressure(h, Some(jid));
+        self.co_memo.insert(key, CoRunnerMemo { epoch, pressure });
+        pressure
     }
 
-    /// The multiplicative slowdown `jid` currently suffers: interference
-    /// from external tenants and co-scheduled jobs, times any injected
-    /// performance fault on the host (1.0 without an active fault plan).
-    pub fn current_slowdown(&self, jid: JobId, now: SimTime) -> f64 {
-        let job = self.running_job(jid).expect("running");
+    /// The multiplicative slowdown running job `jid` (arena slot `key`)
+    /// currently suffers: interference from external tenants plus
+    /// co-scheduled jobs, times any injected performance fault on the
+    /// host (1.0 without an active fault plan).
+    fn current_slowdown(&mut self, jid: JobId, key: SlotKey, now: SimTime) -> f64 {
+        let job = self.running.get(key).expect("live running key");
         let spec = &self.scenario.jobs()[job.spec_idx];
-        let pressure = self.pressure_on(jid, now);
         let host = self.inst(job.instance).cloud_id;
+        let external = self.cloud.external_pressure(host, now);
+        let pressure = external.add(&self.co_runner_pressure(jid, key));
         self.cloud
             .slowdown_model()
             .slowdown(&spec.sensitivity, &pressure)
@@ -1995,9 +2047,10 @@ impl<'a> Scheduler<'a> {
 
     /// A job starts executing.
     pub fn on_start(&mut self, jid: JobId, now: SimTime, events: &mut impl EventSink<Event>) {
-        let Some(job) = self.running_job_mut(jid) else {
+        let Some(&key) = self.running_by_id.get(&jid) else {
             return;
         };
+        let job = self.running.get_mut(key).expect("id-index entry is live");
         if job.started {
             return;
         }
@@ -2009,19 +2062,18 @@ impl<'a> Scheduler<'a> {
         job.started = true;
         job.last_progress = now;
         let spec_idx = job.spec_idx;
+        let inst_h = job.instance;
+        // A started job now weighs on its co-runners.
+        self.bump_co_epoch(inst_h);
         let spec = &self.scenario.jobs()[spec_idx];
         match spec.kind {
             JobKind::Batch { .. } => {
-                let job = self.running_job(jid).expect("running");
-                let slowdown = self.current_slowdown(jid, now);
+                let slowdown = self.current_slowdown(jid, key, now);
+                let job = self.running.get_mut(key).expect("id-index entry is live");
                 let eff = job.cores.min(spec.cores).max(1) as f64;
                 let finish = now + SimDuration::from_secs_f64(job.remaining_work * slowdown / eff);
-                let v = {
-                    let job = self.running_job_mut(jid).expect("running");
-                    job.finish_version += 1;
-                    job.finish_version
-                };
-                events.schedule(finish, Event::Finish(jid, v));
+                job.finish_version += 1;
+                events.schedule(finish, Event::Finish(jid, job.finish_version));
             }
             JobKind::LatencyCritical { lifetime, .. } => {
                 // Requests issued while the service waited for spin-up or
@@ -2031,14 +2083,11 @@ impl<'a> Scheduler<'a> {
                 let wait = audited_since(&self.auditor, now, spec.arrival, jid.0, "LC start wait")
                     .as_secs_f64();
                 let saturated = self.latency_model.saturated_p99_us();
-                let v = {
-                    let job = self.running_job_mut(jid).expect("running");
-                    job.lat_weighted_sum += saturated * wait;
-                    job.lat_weight += wait;
-                    job.finish_version += 1;
-                    job.finish_version
-                };
-                events.schedule(now + lifetime, Event::Finish(jid, v));
+                let job = self.running.get_mut(key).expect("id-index entry is live");
+                job.lat_weighted_sum += saturated * wait;
+                job.lat_weight += wait;
+                job.finish_version += 1;
+                events.schedule(now + lifetime, Event::Finish(jid, job.finish_version));
             }
         }
     }
@@ -2051,12 +2100,20 @@ impl<'a> Scheduler<'a> {
         now: SimTime,
         events: &mut impl EventSink<Event>,
     ) -> Result<(), AuditViolation> {
-        let Some(job) = self.running_job(jid) else {
+        let Some(&key) = self.running_by_id.get(&jid) else {
             return Ok(()); // already finished
         };
+        let job = self.running.get(key).expect("id-index entry is live");
         if job.finish_version != version || !job.started {
             return Ok(()); // stale projection
         }
+        // A service finishing before any tick samples its co-runners once,
+        // now: read them through the memo before the slot retires.
+        let unsampled = matches!(
+            self.scenario.jobs()[job.spec_idx].kind,
+            JobKind::LatencyCritical { .. }
+        ) && job.lat_weight <= 0.0;
+        let co_runners = unsampled.then(|| self.co_runner_pressure(jid, key));
         let job = self.remove_running(jid).expect("running");
         // The projection completes exactly the work still outstanding at
         // the last checkpoint; credit it to the executed ledger.
@@ -2090,7 +2147,7 @@ impl<'a> Scheduler<'a> {
                         let pressure = {
                             let inst = self.inst(inst_h);
                             let external = self.cloud.external_pressure(inst.cloud_id, now);
-                            external.add(&self.internal_pressure(inst_h, Some(jid)))
+                            external.add(&co_runners.expect("sampled before removal"))
                         };
                         self.cloud
                             .slowdown_model()
@@ -2297,14 +2354,16 @@ impl<'a> Scheduler<'a> {
 
         // 2. Update running jobs, ascending by scenario id — the iteration
         // order of the old id-keyed map, which floating-point accumulation
-        // makes order-bearing. The snapshot lives in a reused buffer.
-        let mut jids = std::mem::take(&mut self.tick_jobs);
-        jids.clear();
-        jids.extend(self.running_by_id.keys().copied());
-        let updated = jids
+        // makes order-bearing. The snapshot (id and arena slot) lives in a
+        // reused buffer; nothing in the loop retires or re-admits a job,
+        // so every snapshotted slot stays live.
+        let mut jobs = std::mem::take(&mut self.tick_jobs);
+        jobs.clear();
+        jobs.extend(self.running_by_id.iter().map(|(&jid, &key)| (jid, key)));
+        let updated = jobs
             .iter()
-            .try_for_each(|&jid| self.update_job(jid, now, events));
-        self.tick_jobs = jids;
+            .try_for_each(|&(jid, key)| self.update_job(jid, key, now, events));
+        self.tick_jobs = jobs;
         updated?;
 
         // 2b. Tenancy: starvation-relief preemption, then drain the gate.
@@ -2406,16 +2465,22 @@ impl<'a> Scheduler<'a> {
         Ok(())
     }
 
-    /// Progress + QoS update for one job.
+    /// Progress + QoS update for running job `jid`, living in arena slot
+    /// `key` (the tick's snapshot; no id lookup on this path).
     fn update_job(
         &mut self,
         jid: JobId,
+        key: SlotKey,
         now: SimTime,
         events: &mut impl EventSink<Event>,
     ) -> Result<(), AuditViolation> {
-        let Some(job) = self.running_job(jid) else {
-            return Ok(());
-        };
+        debug_assert_eq!(
+            self.running_by_id.get(&jid),
+            Some(&key),
+            "tick snapshot out of date for job {}",
+            jid.0
+        );
+        let job = self.running.get(key).expect("snapshotted slot is live");
         if !job.started {
             return Ok(());
         }
@@ -2423,26 +2488,27 @@ impl<'a> Scheduler<'a> {
         let inst_h = job.instance;
         let cores = job.cores;
         let spec = &self.scenario.jobs()[spec_idx];
-        let slowdown = self.current_slowdown(jid, now);
+        let slowdown = self.current_slowdown(jid, key, now);
 
         match spec.kind {
             JobKind::Batch { .. } => {
                 let eff = cores.min(spec.cores).max(1) as f64;
-                let last_progress = self.running_job(jid).expect("running").last_progress;
-                let dt = audited_since(&self.auditor, now, last_progress, jid.0, "batch tick dt")
-                    .as_secs_f64();
-                let (executed, v, finish) = {
-                    let job = self.running_job_mut(jid).expect("running");
-                    let before = job.remaining_work;
-                    job.remaining_work = (job.remaining_work - eff * dt / slowdown).max(0.0);
-                    job.last_progress = now;
-                    job.finish_version += 1;
-                    (
-                        before - job.remaining_work,
-                        job.finish_version,
-                        now + SimDuration::from_secs_f64(job.remaining_work * slowdown / eff),
-                    )
-                };
+                let job = self.running.get_mut(key).expect("live");
+                let dt = audited_since(
+                    &self.auditor,
+                    now,
+                    job.last_progress,
+                    jid.0,
+                    "batch tick dt",
+                )
+                .as_secs_f64();
+                let before = job.remaining_work;
+                job.remaining_work = (job.remaining_work - eff * dt / slowdown).max(0.0);
+                job.last_progress = now;
+                job.finish_version += 1;
+                let executed = before - job.remaining_work;
+                let v = job.finish_version;
+                let finish = now + SimDuration::from_secs_f64(job.remaining_work * slowdown / eff);
                 self.auditor.work_executed(now, jid.0, executed);
                 if self.tenancy.is_some() && self.auditor.is_enabled() {
                     let tenant = self.tenant_of(jid);
@@ -2465,7 +2531,9 @@ impl<'a> Scheduler<'a> {
                         if self.inst(inst_h).reserved {
                             self.reserved_busy.record_delta(now, grow as f64);
                         }
-                        self.running_job_mut(jid).expect("running").cores += grow;
+                        self.running.get_mut(key).expect("live").cores += grow;
+                        // The grown service weighs more on its co-runners.
+                        self.bump_co_epoch(inst_h);
                         trace_event!(
                             self.tracer,
                             now,
@@ -2481,31 +2549,25 @@ impl<'a> Scheduler<'a> {
                 // rescheduled service's checkpoint sits in the future
                 // (the replacement instance's ready time), and ticks
                 // before it must contribute zero weight.
-                let (dt, grown_cores) = {
-                    let job = self.running_job_mut(jid).expect("running");
-                    let dt = now.saturating_since(job.last_progress).as_secs_f64();
-                    job.last_progress = now;
-                    (dt, job.cores)
-                };
+                let job = self.running.get_mut(key).expect("live");
+                let dt = now.saturating_since(job.last_progress).as_secs_f64();
+                job.last_progress = now;
                 let p99 = self
                     .latency_model
-                    .p99_latency_us(offered_rps, grown_cores, slowdown);
+                    .p99_latency_us(offered_rps, job.cores, slowdown);
                 // Rescheduling: persistent severe degradation on an
                 // on-demand instance (rare; Section 3.3 "the latter is
                 // unlikely in practice").
-                let (badly, bad_ticks, threshold, rescheduled) = {
-                    let job = self.running_job_mut(jid).expect("running");
-                    job.lat_weighted_sum += p99 * dt;
-                    job.lat_weight += dt;
-                    let threshold = 6.0 * job.isolation_p99;
-                    let badly = p99 > threshold;
-                    if badly {
-                        job.qos_bad_ticks += 1;
-                    } else {
-                        job.qos_bad_ticks = 0;
-                    }
-                    (badly, job.qos_bad_ticks, threshold, job.rescheduled)
-                };
+                job.lat_weighted_sum += p99 * dt;
+                job.lat_weight += dt;
+                let threshold = 6.0 * job.isolation_p99;
+                let badly = p99 > threshold;
+                if badly {
+                    job.qos_bad_ticks += 1;
+                } else {
+                    job.qos_bad_ticks = 0;
+                }
+                let (bad_ticks, rescheduled) = (job.qos_bad_ticks, job.rescheduled);
                 if badly {
                     trace_event!(
                         self.tracer,
@@ -2523,23 +2585,19 @@ impl<'a> Scheduler<'a> {
                     && !rescheduled
                     && !self.inst(inst_h).reserved;
                 if should_reschedule {
-                    self.reschedule(jid, now, events)?;
+                    self.reschedule(jid, key, now)?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Moves a persistently degraded job to a fresh on-demand instance.
-    fn reschedule(
-        &mut self,
-        jid: JobId,
-        now: SimTime,
-        events: &mut impl EventSink<Event>,
-    ) -> Result<(), AuditViolation> {
+    /// Moves a persistently degraded job (arena slot `key`) to a fresh
+    /// on-demand instance.
+    fn reschedule(&mut self, jid: JobId, key: SlotKey, now: SimTime) -> Result<(), AuditViolation> {
         self.counters.reschedules += 1;
         let (cores, old_inst) = {
-            let job = self.running_job(jid).expect("running");
+            let job = self.running.get(key).expect("live");
             (job.cores, job.instance)
         };
         trace_event!(
@@ -2561,21 +2619,19 @@ impl<'a> Scheduler<'a> {
         }
         // Acquire a replacement of the same type.
         let new_h = self.acquire(itype, now);
-        let key = *self.running_by_id.get(&jid).expect("running");
         self.attach_job(new_h, jid, key, cores, now);
         let ready = {
             let inst = self.inst_mut(new_h);
             inst.retention_token += 1;
             inst.ready_at
         };
-        let job = self.running_job_mut(jid).expect("running");
+        let job = self.running.get_mut(key).expect("live");
         job.instance = new_h;
         job.rescheduled = true;
         job.qos_bad_ticks = 0;
         // Service resumes once the replacement is up; the LC finish event
         // (fixed lifetime) remains valid, so no rescheduling of events.
         job.last_progress = ready.max(now);
-        let _ = events;
         Ok(())
     }
 
@@ -3277,8 +3333,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn tenancy_starved_guarantee_reclaims_via_preemption() {
+    /// A borrower (tenant 1, job 0) and a tenant guaranteed the whole
+    /// pool (tenant 0, job 1) whose job arrives after the borrower took it.
+    fn borrowed_pool_pair() -> Scenario {
         let jobs = vec![
             job(0, AppClass::SparkBatch, 4, 100_000),
             job(1, AppClass::SparkBatch, 4, 100_000),
@@ -3295,7 +3352,12 @@ mod tests {
             .tenant(TenantSpec::new(1, 1.0, 0, pool));
         plan.assign(0, 1);
         plan.assign(1, 0);
-        let scenario = scenario_of(jobs).with_tenancy(plan);
+        scenario_of(jobs).with_tenancy(plan)
+    }
+
+    #[test]
+    fn tenancy_starved_guarantee_reclaims_via_preemption() {
+        let scenario = borrowed_pool_pair();
         let mut config = RunConfig::new(StrategyKind::StaticReserved).without_profiling();
         config.reserved_cores_override = Some(32);
         let (mut sched, mut events) = scheduler(&scenario, &config);
@@ -3330,6 +3392,309 @@ mod tests {
         assert_eq!(result.tenant_stats[0].id, 0);
         assert_eq!(result.tenant_stats[0].reclaims, 1);
         assert_eq!(result.tenant_stats[1].victims, 1);
+    }
+
+    // ------------------------------------------------------------------
+    // Co-runner memo invalidation
+    // ------------------------------------------------------------------
+
+    /// The co-runner pressure the memo would serve `jid` right now: its
+    /// entry, if stamped with the instance's current epoch.
+    fn served_memo(sched: &Scheduler<'_>, jid: JobId) -> Option<ResourceVector> {
+        let key = sched.running_by_id[&jid];
+        let h = sched.running.get(key).expect("live").instance;
+        sched
+            .co_memo
+            .get(&key)
+            .filter(|m| m.epoch == sched.inst(h).co_epoch)
+            .map(|m| m.pressure)
+    }
+
+    /// Fills every running job's memo, as a monitor tick does.
+    fn prime_co_memos(sched: &mut Scheduler<'_>) {
+        let jobs: Vec<(JobId, SlotKey)> = sched
+            .running_by_id
+            .iter()
+            .map(|(&jid, &key)| (jid, key))
+            .collect();
+        for (jid, key) in jobs {
+            sched.co_runner_pressure(jid, key);
+        }
+    }
+
+    /// The memo invariant: entries exist for live running jobs only, and
+    /// every entry still current equals a fresh co-runner sum. Returns
+    /// how many entries are current.
+    fn assert_co_memos_fresh(sched: &Scheduler<'_>) -> usize {
+        let (mut held, mut current) = (0, 0);
+        for (&jid, &key) in &sched.running_by_id {
+            held += usize::from(sched.co_memo.contains_key(&key));
+            if let Some(memo) = served_memo(sched, jid) {
+                current += 1;
+                let h = sched.running.get(key).expect("live").instance;
+                assert_eq!(
+                    memo,
+                    sched.internal_pressure(h, Some(jid)),
+                    "stale co-runner memo for job {}",
+                    jid.0
+                );
+            }
+        }
+        assert_eq!(held, sched.co_memo.len(), "the memo outlived a job");
+        current
+    }
+
+    /// Two SparkBatch jobs admitted onto the one reserved server.
+    fn reserved_pair<'a>(
+        scenario: &'a Scenario,
+        config: &'a mut RunConfig,
+    ) -> (Scheduler<'a>, EventQueue<Event>) {
+        config.reserved_cores_override = Some(16);
+        let (mut sched, mut events) = scheduler(scenario, config);
+        for id in 0..2 {
+            sched
+                .on_arrival(JobId(id), SimTime::ZERO, &mut events)
+                .unwrap();
+        }
+        (sched, events)
+    }
+
+    fn spark_pair() -> Scenario {
+        scenario_of(vec![
+            job(0, AppClass::SparkBatch, 8, 600),
+            job(1, AppClass::SparkBatch, 8, 600),
+        ])
+    }
+
+    #[test]
+    fn quiet_ticks_serve_the_co_runner_memo() {
+        let scenario = spark_pair();
+        let mut config = RunConfig::new(StrategyKind::StaticReserved);
+        let (mut sched, mut events) = reserved_pair(&scenario, &mut config);
+        sched.on_start(JobId(0), SimTime::ZERO, &mut events);
+        sched.on_start(JobId(1), SimTime::ZERO, &mut events);
+        prime_co_memos(&mut sched);
+        let h = sched.reserved_handles[0];
+        let epoch = sched.inst(h).co_epoch;
+        for secs in [10, 20, 30] {
+            sched
+                .on_tick(SimTime::from_secs(secs), &mut events)
+                .unwrap();
+            assert_eq!(sched.inst(h).co_epoch, epoch, "nothing moved");
+            assert_eq!(assert_co_memos_fresh(&sched), 2, "every memo is served");
+        }
+        assert!(served_memo(&sched, JobId(0)).unwrap().sum() > 0.0);
+    }
+
+    #[test]
+    fn starting_a_co_runner_invalidates_the_memo() {
+        let scenario = spark_pair();
+        let mut config = RunConfig::new(StrategyKind::StaticReserved);
+        let (mut sched, mut events) = reserved_pair(&scenario, &mut config);
+        sched.on_start(JobId(0), SimTime::ZERO, &mut events);
+        prime_co_memos(&mut sched);
+        assert_eq!(
+            served_memo(&sched, JobId(0)),
+            Some(ResourceVector::ZERO),
+            "a co-runner that has not started exerts no pressure"
+        );
+        sched.on_start(JobId(1), SimTime::from_secs(5), &mut events);
+        assert_co_memos_fresh(&sched);
+        let h = sched.reserved_handles[0];
+        assert!(sched.internal_pressure(h, Some(JobId(0))).sum() > 0.0);
+    }
+
+    #[test]
+    fn finishing_a_co_runner_invalidates_the_memo_and_drops_its_own() {
+        let scenario = spark_pair();
+        let mut config = RunConfig::new(StrategyKind::StaticReserved);
+        let (mut sched, mut events) = reserved_pair(&scenario, &mut config);
+        sched.on_start(JobId(0), SimTime::ZERO, &mut events);
+        sched.on_start(JobId(1), SimTime::ZERO, &mut events);
+        prime_co_memos(&mut sched);
+        assert_eq!(sched.co_memo.len(), 2);
+        let v = sched.running_job(JobId(0)).unwrap().finish_version;
+        sched
+            .on_finish(JobId(0), v, SimTime::from_secs(50), &mut events)
+            .unwrap();
+        assert_co_memos_fresh(&sched);
+        assert_eq!(sched.co_memo.len(), 1, "the finished job's memo is gone");
+        sched.on_tick(SimTime::from_secs(60), &mut events).unwrap();
+        assert_eq!(
+            served_memo(&sched, JobId(1)),
+            Some(ResourceVector::ZERO),
+            "alone on its server"
+        );
+    }
+
+    #[test]
+    fn local_boost_invalidates_co_runner_memos() {
+        let scenario = scenario_of(vec![
+            job(0, AppClass::SparkBatch, 4, 600),
+            job(1, AppClass::Memcached, 8, 600),
+        ]);
+        let mut config = RunConfig::new(StrategyKind::HybridMixed);
+        config.reserved_cores_override = Some(16);
+        let (mut sched, mut events) = scheduler(&scenario, &config);
+        let h = sched.reserved_handles[0];
+        let e0 = sched.estimate(&scenario.jobs()[0]);
+        // Undersize the service so it runs saturated and boosts.
+        let e1 = JobEstimate {
+            cores: 1,
+            ..sched.estimate(&scenario.jobs()[1])
+        };
+        for (idx, est) in [(0, &e0), (1, &e1)] {
+            sched.assign(
+                idx,
+                est,
+                h,
+                SimTime::ZERO,
+                SimDuration::ZERO,
+                None,
+                &mut events,
+            );
+        }
+        sched.on_start(JobId(0), SimTime::ZERO, &mut events);
+        sched.on_start(JobId(1), SimTime::ZERO, &mut events);
+        prime_co_memos(&mut sched);
+        // The tick updates job 0 from its memo, then boosts job 1.
+        sched.on_tick(SimTime::from_secs(10), &mut events).unwrap();
+        assert!(
+            sched.running_job(JobId(1)).unwrap().cores > 1,
+            "the saturated service must boost"
+        );
+        assert_co_memos_fresh(&sched);
+    }
+
+    #[test]
+    fn consolidation_invalidates_the_destination_memos() {
+        let scenario = scenario_of(vec![
+            job(0, AppClass::HadoopSvm, 2, 3600),
+            job(1, AppClass::HadoopSvm, 8, 3600),
+        ]);
+        let mut config = RunConfig::new(StrategyKind::HybridMixed);
+        config.reserved_cores_override = Some(16);
+        let (mut sched, mut events) = scheduler(&scenario, &config);
+        let e0 = sched.estimate(&scenario.jobs()[0]);
+        let e1 = sched.estimate(&scenario.jobs()[1]);
+        sched.place_od_pool(0, &e0, SimTime::ZERO, SimDuration::ZERO, None, &mut events);
+        let dst = sched.acquire(InstanceType::full_server(), SimTime::ZERO);
+        sched.assign(
+            1,
+            &e1,
+            dst,
+            SimTime::ZERO,
+            SimDuration::ZERO,
+            None,
+            &mut events,
+        );
+        sched.on_start(JobId(0), SimTime::from_secs(30), &mut events);
+        sched.on_start(JobId(1), SimTime::from_secs(30), &mut events);
+        prime_co_memos(&mut sched);
+        assert_eq!(served_memo(&sched, JobId(1)), Some(ResourceVector::ZERO));
+        sched
+            .consolidate_od_pool(SimTime::from_secs(60), &mut events)
+            .unwrap();
+        assert_eq!(sched.running_job(JobId(0)).unwrap().instance, dst);
+        assert_co_memos_fresh(&sched);
+        assert!(sched.internal_pressure(dst, Some(JobId(1))).sum() > 0.0);
+    }
+
+    #[test]
+    fn reschedule_invalidates_the_memos_it_leaves_behind() {
+        let scenario = scenario_of(vec![
+            job(0, AppClass::HadoopSvm, 4, 3600),
+            job(1, AppClass::Memcached, 4, 3600),
+        ]);
+        let mut config = RunConfig::new(StrategyKind::HybridMixed);
+        config.reserved_cores_override = Some(16);
+        let (mut sched, mut events) = scheduler(&scenario, &config);
+        let h = sched.acquire(InstanceType::full_server(), SimTime::ZERO);
+        for idx in 0..2 {
+            let est = sched.estimate(&scenario.jobs()[idx]);
+            sched.assign(
+                idx,
+                &est,
+                h,
+                SimTime::ZERO,
+                SimDuration::ZERO,
+                None,
+                &mut events,
+            );
+        }
+        let ready = sched.inst(h).ready_at;
+        sched.on_start(JobId(0), ready, &mut events);
+        sched.on_start(JobId(1), ready, &mut events);
+        prime_co_memos(&mut sched);
+        assert!(served_memo(&sched, JobId(0)).unwrap().sum() > 0.0);
+        let key = sched.running_by_id[&JobId(1)];
+        sched.reschedule(JobId(1), key, ready).unwrap();
+        assert_ne!(sched.running_job(JobId(1)).unwrap().instance, h);
+        assert_co_memos_fresh(&sched);
+        prime_co_memos(&mut sched);
+        assert_eq!(served_memo(&sched, JobId(0)), Some(ResourceVector::ZERO));
+    }
+
+    #[test]
+    fn spot_termination_drops_the_victims_memos() {
+        let scenario = scenario_of(vec![
+            job(0, AppClass::HadoopSvm, 4, 3600),
+            job(1, AppClass::HadoopSvm, 4, 3600),
+            job(2, AppClass::HadoopSvm, 4, 3600),
+        ]);
+        let mut config = RunConfig::new(StrategyKind::HybridMixed);
+        config.reserved_cores_override = Some(16);
+        let (mut sched, mut events) = scheduler(&scenario, &config);
+        let reserved = sched.reserved_handles[0];
+        let od = sched.acquire(InstanceType::full_server(), SimTime::ZERO);
+        for (idx, h) in [(0, od), (1, od), (2, reserved)] {
+            let est = sched.estimate(&scenario.jobs()[idx]);
+            sched.assign(
+                idx,
+                &est,
+                h,
+                SimTime::ZERO,
+                SimDuration::ZERO,
+                None,
+                &mut events,
+            );
+        }
+        let ready = sched.inst(od).ready_at;
+        for id in 0..3 {
+            sched.on_start(JobId(id), ready, &mut events);
+        }
+        prime_co_memos(&mut sched);
+        assert_eq!(sched.co_memo.len(), 3);
+        sched
+            .on_spot_termination(od, ready + SimDuration::from_secs(5), &mut events)
+            .unwrap();
+        assert_co_memos_fresh(&sched);
+        assert!(
+            sched.co_memo.len() <= 1,
+            "only the survivor may still hold a memo"
+        );
+    }
+
+    #[test]
+    fn tenancy_preemption_drops_the_victims_memo() {
+        let scenario = borrowed_pool_pair();
+        let mut config = RunConfig::new(StrategyKind::StaticReserved).without_profiling();
+        config.reserved_cores_override = Some(32);
+        let (mut sched, mut events) = scheduler(&scenario, &config);
+        sched
+            .on_arrival(JobId(0), SimTime::ZERO, &mut events)
+            .unwrap();
+        sched.on_start(JobId(0), SimTime::ZERO, &mut events);
+        sched
+            .on_arrival(JobId(1), SimTime::ZERO, &mut events)
+            .unwrap();
+        prime_co_memos(&mut sched);
+        assert_eq!(sched.co_memo.len(), 1);
+        sched.on_tick(SimTime::from_secs(60), &mut events).unwrap();
+        assert_eq!(sched.counters.tenant_preemptions, 1);
+        assert!(!sched.running_by_id.contains_key(&JobId(0)));
+        assert_co_memos_fresh(&sched);
+        assert_eq!(sched.co_memo.len(), 0, "the victim's memo is gone");
     }
 
     #[test]

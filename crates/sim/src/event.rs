@@ -94,10 +94,6 @@ pub struct EventQueue<E> {
     pending: usize,
     /// Events drained by `drain_next_batch` but not yet `ack`ed.
     outstanding: usize,
-    /// Scratch buffer the served bucket is swapped into; retains its
-    /// capacity across serves so the advance path stops allocating once
-    /// the wheel is warm.
-    serving: Vec<Scheduled<E>>,
     next_seq: u64,
     now: SimTime,
     max_depth: usize,
@@ -118,7 +114,6 @@ impl<E> EventQueue<E> {
             occupied: [0; LEVELS],
             pending: 0,
             outstanding: 0,
-            serving: Vec::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             max_depth: 0,
@@ -173,11 +168,13 @@ impl<E> EventQueue<E> {
     /// Serves the earliest occupied wheel position into `due`, advancing
     /// the clock. Caller guarantees `due` is empty and `pending > 0`.
     ///
-    /// The served bucket is swapped into a reusable scratch buffer rather
-    /// than moved out, so the steady state performs no allocation:
-    /// capacities circulate between the scratch buffer and the buckets it
-    /// serves. Buckets are in sequence order (see [`EventQueue`]), so the
-    /// members reach `due` already in FIFO order.
+    /// The served bucket is moved out, leaving an empty, unallocated
+    /// bucket behind, and its buffer is freed once drained. Each bucket
+    /// therefore holds only the capacity its own current members need:
+    /// one burst (a tick rescheduling every running job) cannot leave its
+    /// capacity parked in every bucket it is later recycled through.
+    /// Buckets are in sequence order (see [`EventQueue`]), so the members
+    /// reach `due` already in FIFO order.
     fn advance(&mut self) {
         debug_assert!(self.due.is_empty());
         for level in 0..LEVELS {
@@ -185,44 +182,36 @@ impl<E> EventQueue<E> {
                 continue;
             }
             let slot = self.occupied[level].trailing_zeros() as usize;
-            debug_assert!(self.serving.is_empty());
-            std::mem::swap(&mut self.buckets[level * SLOTS + slot], &mut self.serving);
+            let serving = std::mem::take(&mut self.buckets[level * SLOTS + slot]);
             self.occupied[level] &= !(1u64 << slot);
-            debug_assert!(!self.serving.is_empty(), "occupancy bit without entries");
+            debug_assert!(!serving.is_empty(), "occupancy bit without entries");
             debug_assert!(
-                self.serving.windows(2).all(|w| w[0].seq < w[1].seq),
+                serving.windows(2).all(|w| w[0].seq < w[1].seq),
                 "bucket out of insertion order"
             );
             if level == 0 {
                 // A level-0 bucket differs from `now` only in the digit it
                 // is keyed by: every member shares one exact timestamp.
-                let at = self.serving[0].at;
-                debug_assert!(self.serving.iter().all(|s| s.at == at));
+                let at = serving[0].at;
+                debug_assert!(serving.iter().all(|s| s.at == at));
                 debug_assert!(at > self.now, "event queue went backwards in time");
                 self.now = at;
-                self.due.extend(self.serving.drain(..));
+                self.due.extend(serving);
             } else {
                 // Cascade: the bucket's earliest timestamp becomes the new
                 // clock; everything later re-enters at a lower level.
-                let target = self
-                    .serving
+                let target = serving
                     .iter()
                     .map(|s| s.at)
                     .min()
                     .expect("bucket non-empty");
                 debug_assert!(target > self.now, "event queue went backwards in time");
                 self.now = target;
-                let now_us = target.as_micros();
-                for s in self.serving.drain(..) {
+                for s in serving {
                     if s.at == target {
                         self.due.push_back(s);
                     } else {
-                        // `level_slot` inlined against the new clock; the
-                        // drain borrow keeps `&self` methods out of reach.
-                        let d = s.at.as_micros() ^ now_us;
-                        let l = ((63 - d.leading_zeros()) / LEVEL_BITS) as usize;
-                        let sl =
-                            ((s.at.as_micros() >> (l as u32 * LEVEL_BITS)) & SLOT_MASK) as usize;
+                        let (l, sl) = self.level_slot(s.at);
                         debug_assert!(l <= level, "cascade must descend");
                         self.buckets[l * SLOTS + sl].push(s);
                         self.occupied[l] |= 1 << sl;
@@ -435,5 +424,44 @@ mod tests {
         let mut want = times.to_vec();
         want.sort_unstable();
         assert_eq!(popped, want);
+    }
+
+    /// Summed capacity of every wheel bucket.
+    fn bucket_capacity<E>(q: &EventQueue<E>) -> usize {
+        q.buckets.iter().map(Vec::capacity).sum()
+    }
+
+    #[test]
+    fn a_served_burst_does_not_leave_its_capacity_in_the_wheel() {
+        const BURST: usize = 10_000;
+        let mut q = EventQueue::new();
+        let burst = SimTime::from_secs(1);
+        for i in 0..BURST {
+            q.schedule(burst, i);
+        }
+        let mut buf = Vec::new();
+        assert_eq!(q.drain_next_batch(&mut buf), Some(burst));
+        assert_eq!(buf.len(), BURST);
+        for _ in 0..BURST {
+            q.ack();
+        }
+        // One event in each of many buckets, across the low four levels,
+        // then serve them all: no serve may hand the burst's buffer on.
+        let now = burst.as_micros();
+        for level in 0..4 {
+            for step in 1..SLOTS as u64 {
+                q.schedule(
+                    SimTime::from_micros(now + (step << (LEVEL_BITS * level))),
+                    0,
+                );
+            }
+        }
+        let bound = 8 * LEVELS * SLOTS;
+        assert!(bound < BURST, "the bound must be able to catch the burst");
+        while q.pop().is_some() {
+            let cap = bucket_capacity(&q);
+            assert!(cap <= bound, "buckets hold {cap} slots after a serve");
+        }
+        assert_eq!(bucket_capacity(&q), 0, "an empty wheel holds no buffers");
     }
 }
