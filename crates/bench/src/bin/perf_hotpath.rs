@@ -35,9 +35,9 @@ const REPS: usize = 3;
 
 /// Micro-benchmark of the quantile hot path exactly as the scheduler
 /// drives it: the QoS monitor absorbs one delivered-quality sample and
-/// answers one `Q90` query per tick. Pre-index this clones + sorts the
-/// full 512-sample window per query; post-index it is an O(log n)
-/// order-statistics read — the delta is the `QuantileSet` payoff.
+/// answers one `Q90` query per tick. Clone-and-sort would sort the full
+/// 512-sample window per query; the sorted window (`QuantileSet`) makes
+/// a push a binary search plus a short shift and the query an index read.
 fn quantile_churn_ms(samples: usize) -> f64 {
     let mut rng = hcloud_sim::rng::SimRng::from_seed_u64(42);
     use rand::Rng;

@@ -10,6 +10,7 @@
 //! * what **external pressure** is this instance under right now, and
 //! * what **resource quality** is it therefore delivering.
 
+use std::cell::Cell;
 use std::fmt;
 
 use hcloud_faults::{AcquireFault, FaultInjector};
@@ -80,7 +81,9 @@ pub struct Instance {
     released_at: Option<SimTime>,
     /// When the spot market outbids this instance (spot instances only).
     terminates_at: Option<SimTime>,
-    server_seed: u64,
+    /// Cached external-load terms while a shared on-demand instance is
+    /// held; `None` for reserved, full-server and released instances.
+    external: Option<Box<ExternalTerms>>,
     /// Injected straggler fate: `(onset, slowdown factor)` if this
     /// instance degrades.
     perf_fault: Option<(SimTime, f64)>,
@@ -130,6 +133,27 @@ impl Instance {
     /// The injected straggler fate `(onset, slowdown factor)`, if any.
     pub fn performance_fault(&self) -> Option<(SimTime, f64)> {
         self.perf_fault
+    }
+}
+
+/// The persistent external-load terms of one held shared instance, and
+/// the pressure of the last fluctuation interval read on it.
+///
+/// Everything here is a cache of [`ExternalLoadModel`]'s pure functions,
+/// so it never changes a value: equality ignores the memo.
+#[derive(Debug, Clone)]
+struct ExternalTerms {
+    /// [`ExternalLoadModel::spatial`] of the server.
+    spatial: f64,
+    /// [`ExternalLoadModel::mix`] of the server.
+    mix: ResourceVector,
+    /// `(interval index, shielded pressure)` of the last read.
+    memo: Cell<Option<(u64, ResourceVector)>>,
+}
+
+impl PartialEq for ExternalTerms {
+    fn eq(&self, other: &Self) -> bool {
+        self.spatial.to_bits() == other.spatial.to_bits() && self.mix == other.mix
     }
 }
 
@@ -413,6 +437,15 @@ impl Cloud {
                 }
             );
         }
+        // Only shared rented servers see external load; their persistent
+        // terms are drawn once here instead of on every read.
+        let external = (!reserved && itype.external_share() > 0.0).then(|| {
+            Box::new(ExternalTerms {
+                spatial: self.external.spatial(&self.factory, id.0),
+                mix: self.external.mix(&self.factory, id.0),
+                memo: Cell::new(None),
+            })
+        });
         self.instances.push(Instance {
             id,
             itype,
@@ -422,7 +455,7 @@ impl Cloud {
             ready_at,
             released_at: None,
             terminates_at,
-            server_seed: id.0,
+            external,
             perf_fault,
         });
         id
@@ -436,6 +469,7 @@ impl Cloud {
         let inst = self.slot_mut(id);
         assert!(inst.released_at.is_none(), "instance {id} released twice");
         inst.released_at = Some(now.max(inst.requested_at));
+        inst.external = None;
         trace_event!(
             self.tracer,
             now,
@@ -468,23 +502,51 @@ impl Cloud {
 
     /// The external pressure vector on `id` at `t`. Zero for reserved
     /// instances and full-server on-demand instances.
+    ///
+    /// A held shared instance answers from its cached terms: the first
+    /// read in a fluctuation interval draws that interval's level, later
+    /// reads in the same interval return the memo. Released instances
+    /// take the uncached path, which gives the same bits.
     pub fn external_pressure(&self, id: InstanceId, t: SimTime) -> ResourceVector {
         let inst = self.instance(id);
         if inst.reserved {
             return ResourceVector::ZERO;
         }
-        let raw = self.external.pressure(
-            &self.factory,
-            inst.server_seed,
-            t,
-            inst.itype.external_share(),
-        );
+        let Some(terms) = &inst.external else {
+            return self.reference_pressure(inst, t);
+        };
+        let k = self.external.interval_index(t);
+        if let Some((at, pressure)) = terms.memo.get() {
+            if at == k {
+                debug_assert_eq!(pressure, self.reference_pressure(inst, t));
+                return pressure;
+            }
+        }
+        let level = self
+            .external
+            .level_at(&self.factory, id.0, terms.spatial, t)
+            * inst.itype.external_share();
+        let pressure = self.shield(terms.mix.scale(level));
+        terms.memo.set(Some((k, pressure)));
+        pressure
+    }
+
+    /// The uncached external pressure on `inst` at `t`, straight from the
+    /// pure [`ExternalLoadModel::pressure`].
+    fn reference_pressure(&self, inst: &Instance, t: SimTime) -> ResourceVector {
+        let raw = self
+            .external
+            .pressure(&self.factory, inst.id.0, t, inst.itype.external_share());
+        self.shield(raw)
+    }
+
+    /// Resource partitioning (Section 5.5): caps on the partitionable
+    /// shared resources shield the instance from that fraction of
+    /// external pressure.
+    fn shield(&self, raw: ResourceVector) -> ResourceVector {
         if self.config.partitioning <= 0.0 {
             return raw;
         }
-        // Resource partitioning (Section 5.5): caps on the partitionable
-        // shared resources shield the instance from that fraction of
-        // external pressure.
         use hcloud_interference::Resource;
         let iso = self.config.partitioning.clamp(0.0, 1.0);
         let mut shielded = raw;

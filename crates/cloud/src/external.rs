@@ -15,6 +15,10 @@
 //! no state is stored, two strategies observing the same server at the
 //! same instant see the same interference, and experiments are exactly
 //! repeatable — the property the paper's container methodology provides.
+//! [`crate::Cloud`] caches the persistent terms of its live servers and
+//! the pressure of the current interval; [`ExternalLoadModel::level`],
+//! [`ExternalLoadModel::mix`] and [`ExternalLoadModel::pressure`] stay the
+//! uncached reference it must reproduce bit for bit.
 
 use hcloud_interference::ResourceVector;
 use hcloud_sim::dist::{Normal, Sample, TruncatedNormal, Uniform};
@@ -80,14 +84,47 @@ impl ExternalLoadModel {
     /// The external utilization level of server `server_seed` at `t`,
     /// in `[0, 0.95]`.
     pub fn level(&self, factory: &RngFactory, server_seed: u64, t: SimTime) -> f64 {
-        if self.mean == 0.0 && self.spike_prob == 0.0 {
+        let spatial = self.spatial(factory, server_seed);
+        self.level_at(factory, server_seed, spatial, t)
+    }
+
+    /// Whether the process imposes no load at all; a silent level is 0
+    /// without drawing any randomness.
+    fn is_silent(&self) -> bool {
+        self.mean == 0.0 && self.spike_prob == 0.0
+    }
+
+    /// The persistent load offset of server `server_seed` (spatial
+    /// variability). Constant for the server's lifetime, so callers that
+    /// read one server repeatedly may compute it once.
+    pub(crate) fn spatial(&self, factory: &RngFactory, server_seed: u64) -> f64 {
+        if self.is_silent() {
             return 0.0;
         }
-        let spatial = {
-            let mut rng = factory.indexed_stream("external.spatial", server_seed);
-            Normal::new(0.0, self.spatial_sigma).sample(&mut rng)
-        };
-        let k = t.as_micros() / self.interval.as_micros().max(1);
+        let mut rng = factory.indexed_stream("external.spatial", server_seed);
+        Normal::new(0.0, self.spatial_sigma).sample(&mut rng)
+    }
+
+    /// The index of the fluctuation interval `t` falls in: the level is
+    /// constant for all `t` sharing one index.
+    pub(crate) fn interval_index(&self, t: SimTime) -> u64 {
+        t.as_micros() / self.interval.as_micros().max(1)
+    }
+
+    /// [`ExternalLoadModel::level`] given the server's precomputed
+    /// [`spatial`](ExternalLoadModel::spatial) offset: draws only the
+    /// temporal fluctuation and spike of `t`'s interval.
+    pub(crate) fn level_at(
+        &self,
+        factory: &RngFactory,
+        server_seed: u64,
+        spatial: f64,
+        t: SimTime,
+    ) -> f64 {
+        if self.is_silent() {
+            return 0.0;
+        }
+        let k = self.interval_index(t);
         let idx = server_seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(k);
         let mut rng = factory.indexed_stream("external.temporal", idx);
         let temporal = if self.fluctuation > 0.0 {

@@ -1,9 +1,71 @@
 //! Property-based tests for the cloud substrate.
 
-use hcloud_cloud::{Cloud, CloudConfig, ExternalLoadModel, InstanceType, SpotMarket};
+use hcloud_cloud::{Cloud, CloudConfig, ExternalLoadModel, InstanceId, InstanceType, SpotMarket};
+use hcloud_interference::{Resource, ResourceVector};
 use hcloud_sim::rng::RngFactory;
 use hcloud_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
+
+/// The uncached external pressure on `id` at `t`: the pure model's
+/// pressure with the cloud's partitioning shield applied by hand.
+fn reference_pressure(
+    cloud: &Cloud,
+    factory: &RngFactory,
+    id: InstanceId,
+    t: SimTime,
+) -> ResourceVector {
+    let inst = cloud.instance(id);
+    if inst.is_reserved() {
+        return ResourceVector::ZERO;
+    }
+    let mut p =
+        cloud
+            .external_model()
+            .pressure(factory, id.raw(), t, inst.itype().external_share());
+    let iso = cloud.config().partitioning;
+    if iso > 0.0 {
+        for r in [
+            Resource::CacheLlc,
+            Resource::MemBandwidth,
+            Resource::NetBandwidth,
+        ] {
+            p[r] *= 1.0 - iso;
+        }
+    }
+    p
+}
+
+fn bits(v: ResourceVector) -> Vec<u64> {
+    v.as_array().iter().map(|x| x.to_bits()).collect()
+}
+
+/// One step of the cache differential test.
+#[derive(Debug, Clone)]
+enum CloudOp {
+    /// Acquire an on-demand (or spot) instance of catalog type `.0`.
+    Acquire(usize, bool),
+    /// Provision one reserved server.
+    Reserve,
+    /// Release the `.0`-th issued instance, if it is still held.
+    Release(usize),
+    /// Advance the clock by `.0` microseconds.
+    Advance(u64),
+    /// Read the `.0`-th issued instance `.1` seconds before now.
+    Read(usize, u64),
+}
+
+fn cloud_op() -> impl Strategy<Value = CloudOp> {
+    (0u8..17, any::<u64>(), 0u64..60).prop_map(|(kind, x, back)| match kind {
+        0..=2 => CloudOp::Acquire((x % 8) as usize, kind == 0 && x % 5 == 0),
+        3 => CloudOp::Reserve,
+        4..=5 => CloudOp::Release(x as usize),
+        // Mostly steps inside one 10-s interval, sometimes across several.
+        6..=7 => CloudOp::Advance(x % 3_000_000),
+        8 => CloudOp::Advance(9_000_000 + x % 31_000_000),
+        // Half the reads are at `now`, so consecutive ones share an interval.
+        _ => CloudOp::Read(x as usize, if kind % 2 == 0 { 0 } else { back }),
+    })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -101,5 +163,71 @@ proptest! {
         let p = plain.external_pressure(a, t).sum();
         let q = shielded.external_pressure(b, t).sum();
         prop_assert!(q <= p + 1e-12, "partitioned pressure {q} exceeds plain {p}");
+    }
+
+    /// The cloud's cached external pressure and delivered quality equal
+    /// the pure model bit for bit, over any acquire/release history:
+    /// repeated reads inside one interval, reads across interval
+    /// boundaries and back in time, reserved, full-server and shared
+    /// types, released ids, partitioning off and on, and a silent model.
+    #[test]
+    fn cached_pressure_matches_the_pure_model(
+        seed in any::<u64>(),
+        shape in 0u8..10,
+        ops in prop::collection::vec(cloud_op(), 1..120),
+    ) {
+        let catalog = [
+            InstanceType::MICRO,
+            InstanceType::standard(1),
+            InstanceType::standard(2),
+            InstanceType::standard(4),
+            InstanceType::standard(8),
+            InstanceType::standard(16),
+            InstanceType::full_server(),
+            InstanceType::new(hcloud_cloud::Family::MemoryOptimized, 4),
+        ];
+        let factory = RngFactory::new(seed);
+        let mut cloud = Cloud::new(
+            CloudConfig {
+                partitioning: if shape % 2 == 0 { 0.0 } else { 0.5 },
+                external: if shape == 9 {
+                    ExternalLoadModel::none()
+                } else {
+                    ExternalLoadModel::default()
+                },
+                ..CloudConfig::default()
+            },
+            factory,
+        );
+        let mut ids: Vec<InstanceId> = Vec::new();
+        let mut now = SimTime::from_secs(60);
+        for op in ops {
+            match op {
+                CloudOp::Acquire(k, false) => ids.push(cloud.acquire(catalog[k], now)),
+                CloudOp::Acquire(k, true) => ids.push(cloud.acquire_spot(catalog[k], 0.6, now)),
+                CloudOp::Reserve => ids.extend(cloud.provision_reserved(1, now)),
+                CloudOp::Release(i) if !ids.is_empty() => {
+                    let id = ids[i % ids.len()];
+                    if cloud.instance(id).released_at().is_none() {
+                        cloud.release(id, now);
+                    }
+                }
+                CloudOp::Release(_) => {}
+                CloudOp::Advance(us) => now += SimDuration::from_micros(us),
+                CloudOp::Read(i, back) if !ids.is_empty() => {
+                    let id = ids[i % ids.len()];
+                    let t = SimTime::from_micros(now.as_micros() - back * 1_000_000);
+                    let want = reference_pressure(&cloud, &factory, id, t);
+                    // Twice: the second read of an interval is a memo hit.
+                    for _ in 0..2 {
+                        prop_assert_eq!(bits(cloud.external_pressure(id, t)), bits(want));
+                        let q = cloud.slowdown_model().delivered_quality(&want)
+                            / cloud.fault_slowdown(id, t);
+                        prop_assert_eq!(cloud.delivered_quality(id, t).to_bits(), q.to_bits());
+                    }
+                }
+                CloudOp::Read(..) => {}
+            }
+        }
     }
 }

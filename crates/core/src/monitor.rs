@@ -23,9 +23,10 @@ use hcloud_sim::stats::RollingQuantiles;
 
 /// Rolling quality observations per instance type.
 ///
-/// Each per-type window is a [`RollingQuantiles`]: `record` is O(log n)
-/// and `q90` reads the exact 10th percentile from the maintained
-/// order-statistics tree instead of cloning + sorting the window on every
+/// Each per-type window is a [`RollingQuantiles`]: `record` is a binary
+/// search plus a short shift of the sorted window (nothing at all when
+/// the evicted sample equals the new one), and `q90` reads the exact 10th
+/// percentile by index instead of cloning + sorting the window on every
 /// query (the scheduler asks per placement decision).
 #[derive(Debug, Clone)]
 pub struct QualityMonitor {

@@ -2291,12 +2291,10 @@ impl<'a> Scheduler<'a> {
     // Monitor tick
     // ------------------------------------------------------------------
 
-    /// Periodic monitoring: quality sampling, progress re-projection,
-    /// QoS actions, feedback loops.
     /// Feeds the quality monitor one delivered-quality sample per ready
-    /// live on-demand instance — the per-tick quantile churn that the
-    /// `QuantileSet` made incremental, and what the
-    /// [`ProfSpan::MonitorQuantiles`] span times.
+    /// live on-demand instance. The [`ProfSpan::MonitorQuantiles`] span
+    /// times this whole loop: mostly the cloud's external-pressure read
+    /// per instance, plus the monitor's window update.
     fn sample_delivered_quality(&mut self, now: SimTime) {
         // `live_od` iterates ascending by index — the same order the
         // old full scan visited live on-demand instances in.
@@ -2310,6 +2308,8 @@ impl<'a> Scheduler<'a> {
         }
     }
 
+    /// Periodic monitoring: quality sampling, progress re-projection,
+    /// QoS actions, feedback loops.
     pub fn on_tick(
         &mut self,
         now: SimTime,

@@ -13,8 +13,8 @@
 //!   cannot afford to keep every sample;
 //! * [`SortedSample`] — sort once, answer every batch statistic from the
 //!   shared buffer;
-//! * [`QuantileSet`] — incremental order statistics: O(log n) insert and
-//!   remove with exact percentile reads, for windows queried per event.
+//! * [`QuantileSet`] — incremental order statistics: a sorted window with
+//!   exact percentile reads, for windows queried per event.
 
 use std::fmt;
 
@@ -413,31 +413,21 @@ impl OnlineStats {
     }
 }
 
-/// Sentinel child index for [`QuantileSet`] tree nodes.
-const NIL: u32 = u32::MAX;
-
-#[derive(Debug, Clone)]
-struct TreapNode {
-    key: f64,
-    prio: u64,
-    /// Multiplicity of `key` (duplicates collapse into one node).
-    count: u32,
-    /// Total multiset size of this subtree (including multiplicities).
-    size: usize,
-    left: u32,
-    right: u32,
-}
-
-/// An incremental order-statistics multiset: O(log n) insert and
-/// remove-by-value, exact percentile reads without cloning or sorting.
+/// An incremental order-statistics multiset: O(log n) search, O(n)
+/// memmove insert and remove-by-value, and O(1) exact percentile reads
+/// without cloning or sorting.
 ///
 /// This is the container behind the QoS monitor's `Q90` and the queueing
 /// estimator's interval quantiles: both keep a rolling window that is
 /// queried on *every* insertion, where clone-and-sort costs O(n log n)
-/// per event. `QuantileSet` is a treap whose priorities are a
-/// deterministic hash of the value bits — the tree shape depends only on
-/// the set of values present, never on wall clock or a global RNG, so
-/// simulations stay bit-reproducible.
+/// per event. `QuantileSet` keeps its values in one ascending `Vec`; for
+/// the window sizes in use (hundreds of samples) the shift on insert is a
+/// short contiguous copy, cheaper than any pointer-linked tree.
+///
+/// Values equal under `partial_cmp` (only `0.0` and `-0.0` differ in
+/// bits) are stored as copies of the group's first-inserted value, for as
+/// long as the group is non-empty — so the answers do not depend on which
+/// of two signed zeros arrived second.
 ///
 /// [`QuantileSet::percentile`] reproduces [`percentile_sorted`] exactly
 /// (same rank arithmetic, same interpolation expression), so porting a
@@ -454,55 +444,36 @@ struct TreapNode {
 /// assert!(q.remove(4.0));
 /// assert_eq!(q.percentile(100.0), Some(3.0));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QuantileSet {
-    nodes: Vec<TreapNode>,
-    free: Vec<u32>,
-    root: u32,
-}
-
-impl Default for QuantileSet {
-    fn default() -> Self {
-        QuantileSet::new()
-    }
+    sorted: Vec<f64>,
 }
 
 impl QuantileSet {
     /// Creates an empty set.
     pub fn new() -> Self {
-        QuantileSet {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            root: NIL,
-        }
-    }
-
-    /// Deterministic node priority: a splitmix64 finalizer over the value
-    /// bits. Equal values share one node, so ties never arise from
-    /// duplicates; distinct values colliding on priority is harmless (the
-    /// comparison below is still deterministic).
-    fn prio_for(key: f64) -> u64 {
-        let mut z = key.to_bits().wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        QuantileSet { sorted: Vec::new() }
     }
 
     /// Total number of values held (counting duplicates).
     pub fn len(&self) -> usize {
-        self.subtree_size(self.root)
+        self.sorted.len()
     }
 
     /// Whether the set holds no values.
     pub fn is_empty(&self) -> bool {
-        self.root == NIL
+        self.sorted.is_empty()
     }
 
     /// Removes every value.
     pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.free.clear();
-        self.root = NIL;
+        self.sorted.clear();
+    }
+
+    /// Position of the first held value not less than `value`.
+    fn lower_bound(&self, value: f64) -> usize {
+        self.sorted
+            .partition_point(|x| x.partial_cmp(&value) == Some(std::cmp::Ordering::Less))
     }
 
     /// Inserts one occurrence of `value`.
@@ -511,8 +482,12 @@ impl QuantileSet {
     /// Panics if `value` is NaN (a NaN would poison every ordering query).
     pub fn insert(&mut self, value: f64) {
         assert!(!value.is_nan(), "NaN inserted into QuantileSet");
-        let root = self.root;
-        self.root = self.insert_at(root, value);
+        let at = self.lower_bound(value);
+        let stored = match self.sorted.get(at) {
+            Some(&held) if held == value => held,
+            _ => value,
+        };
+        self.sorted.insert(at, stored);
     }
 
     /// Removes one occurrence of `value`; returns whether it was present.
@@ -520,32 +495,19 @@ impl QuantileSet {
         if value.is_nan() {
             return false;
         }
-        let mut removed = false;
-        let root = self.root;
-        self.root = self.remove_at(root, value, &mut removed);
-        removed
+        let at = self.lower_bound(value);
+        if self.sorted.get(at) == Some(&value) {
+            self.sorted.remove(at);
+            true
+        } else {
+            false
+        }
     }
 
     /// The `k`-th smallest value (0-based, duplicates counted);
     /// `None` when `k >= len()`.
     pub fn kth(&self, k: usize) -> Option<f64> {
-        if k >= self.len() {
-            return None;
-        }
-        let mut t = self.root;
-        let mut k = k;
-        loop {
-            let node = &self.nodes[t as usize];
-            let left = self.subtree_size(node.left);
-            if k < left {
-                t = node.left;
-            } else if k < left + node.count as usize {
-                return Some(node.key);
-            } else {
-                k -= left + node.count as usize;
-                t = node.right;
-            }
-        }
+        self.sorted.get(k).copied()
     }
 
     /// The `p`-th percentile (`0 ≤ p ≤ 100`) with linear interpolation —
@@ -559,196 +521,25 @@ impl QuantileSet {
             (0.0..=100.0).contains(&p),
             "percentile must be in [0,100], got {p}"
         );
-        let n = self.len();
-        if n == 0 {
-            return None;
-        }
-        if n == 1 {
-            return self.kth(0);
-        }
-        let rank = p / 100.0 * (n - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        if lo == hi {
-            self.kth(lo)
-        } else {
-            let frac = rank - lo as f64;
-            let a = self.kth(lo).expect("lo < len");
-            let b = self.kth(hi).expect("hi < len");
-            Some(a * (1.0 - frac) + b * frac)
-        }
+        (!self.sorted.is_empty()).then(|| percentile_sorted(&self.sorted, p))
     }
 
     /// Smallest value; `None` when empty.
     pub fn min(&self) -> Option<f64> {
-        self.kth(0)
+        self.sorted.first().copied()
     }
 
     /// Largest value; `None` when empty.
     pub fn max(&self) -> Option<f64> {
-        self.len().checked_sub(1).and_then(|k| self.kth(k))
-    }
-
-    fn subtree_size(&self, t: u32) -> usize {
-        if t == NIL {
-            0
-        } else {
-            self.nodes[t as usize].size
-        }
-    }
-
-    fn update(&mut self, t: u32) {
-        let (l, r, c) = {
-            let n = &self.nodes[t as usize];
-            (n.left, n.right, n.count)
-        };
-        self.nodes[t as usize].size = c as usize + self.subtree_size(l) + self.subtree_size(r);
-    }
-
-    fn alloc(&mut self, key: f64) -> u32 {
-        let node = TreapNode {
-            key,
-            prio: Self::prio_for(key),
-            count: 1,
-            size: 1,
-            left: NIL,
-            right: NIL,
-        };
-        if let Some(idx) = self.free.pop() {
-            self.nodes[idx as usize] = node;
-            idx
-        } else {
-            self.nodes.push(node);
-            (self.nodes.len() - 1) as u32
-        }
-    }
-
-    /// Rotation pulling the left child above `t`; returns the new root.
-    fn rotate_right(&mut self, t: u32) -> u32 {
-        let l = self.nodes[t as usize].left;
-        self.nodes[t as usize].left = self.nodes[l as usize].right;
-        self.nodes[l as usize].right = t;
-        self.update(t);
-        self.update(l);
-        l
-    }
-
-    /// Rotation pulling the right child above `t`; returns the new root.
-    fn rotate_left(&mut self, t: u32) -> u32 {
-        let r = self.nodes[t as usize].right;
-        self.nodes[t as usize].right = self.nodes[r as usize].left;
-        self.nodes[r as usize].left = t;
-        self.update(t);
-        self.update(r);
-        r
-    }
-
-    fn insert_at(&mut self, t: u32, key: f64) -> u32 {
-        if t == NIL {
-            return self.alloc(key);
-        }
-        let node_key = self.nodes[t as usize].key;
-        match key.partial_cmp(&node_key).expect("NaN rejected at insert") {
-            std::cmp::Ordering::Equal => {
-                self.nodes[t as usize].count += 1;
-                self.nodes[t as usize].size += 1;
-                t
-            }
-            std::cmp::Ordering::Less => {
-                let left = self.nodes[t as usize].left;
-                let new_left = self.insert_at(left, key);
-                self.nodes[t as usize].left = new_left;
-                self.update(t);
-                if self.nodes[new_left as usize].prio > self.nodes[t as usize].prio {
-                    self.rotate_right(t)
-                } else {
-                    t
-                }
-            }
-            std::cmp::Ordering::Greater => {
-                let right = self.nodes[t as usize].right;
-                let new_right = self.insert_at(right, key);
-                self.nodes[t as usize].right = new_right;
-                self.update(t);
-                if self.nodes[new_right as usize].prio > self.nodes[t as usize].prio {
-                    self.rotate_left(t)
-                } else {
-                    t
-                }
-            }
-        }
-    }
-
-    fn remove_at(&mut self, t: u32, key: f64, removed: &mut bool) -> u32 {
-        if t == NIL {
-            return NIL;
-        }
-        let node_key = self.nodes[t as usize].key;
-        match key.partial_cmp(&node_key).expect("NaN rejected at remove") {
-            std::cmp::Ordering::Equal => {
-                *removed = true;
-                if self.nodes[t as usize].count > 1 {
-                    self.nodes[t as usize].count -= 1;
-                    self.nodes[t as usize].size -= 1;
-                    return t;
-                }
-                let (l, r) = {
-                    let n = &self.nodes[t as usize];
-                    (n.left, n.right)
-                };
-                self.free.push(t);
-                self.merge_treap(l, r)
-            }
-            std::cmp::Ordering::Less => {
-                let left = self.nodes[t as usize].left;
-                let new_left = self.remove_at(left, key, removed);
-                self.nodes[t as usize].left = new_left;
-                if *removed {
-                    self.update(t);
-                }
-                t
-            }
-            std::cmp::Ordering::Greater => {
-                let right = self.nodes[t as usize].right;
-                let new_right = self.remove_at(right, key, removed);
-                self.nodes[t as usize].right = new_right;
-                if *removed {
-                    self.update(t);
-                }
-                t
-            }
-        }
-    }
-
-    /// Merges two treaps where every key in `a` precedes every key in `b`.
-    fn merge_treap(&mut self, a: u32, b: u32) -> u32 {
-        if a == NIL {
-            return b;
-        }
-        if b == NIL {
-            return a;
-        }
-        if self.nodes[a as usize].prio > self.nodes[b as usize].prio {
-            let ar = self.nodes[a as usize].right;
-            let m = self.merge_treap(ar, b);
-            self.nodes[a as usize].right = m;
-            self.update(a);
-            a
-        } else {
-            let bl = self.nodes[b as usize].left;
-            let m = self.merge_treap(a, bl);
-            self.nodes[b as usize].left = m;
-            self.update(b);
-            b
-        }
+        self.sorted.last().copied()
     }
 }
 
-/// A bounded rolling window with O(log n) exact quantile reads.
+/// A bounded rolling window with exact quantile reads.
 ///
 /// Couples a FIFO eviction buffer with a [`QuantileSet`]: `push` evicts
 /// the oldest sample once the window is full, and [`percentile`]
-/// (`RollingQuantiles::percentile`) answers from the order-statistics tree
+/// (`RollingQuantiles::percentile`) answers from the sorted set
 /// without cloning or sorting. This is the container behind the QoS
 /// monitor's per-type quality windows and the queueing estimator's
 /// release-interval windows, both of which are queried on every event.
@@ -775,13 +566,22 @@ impl RollingQuantiles {
 
     /// Records one sample, evicting the oldest when the window is full.
     ///
+    /// Replacing a sample with a bit-equal one leaves the set as it was,
+    /// so that case skips the set entirely. Zeros are excluded: `-0.0`
+    /// may be held as a copy of `0.0` (or the reverse), and evicting the
+    /// last of its group must let the new value become the stored one.
+    ///
     /// # Panics
     /// Panics if `value` is NaN.
     pub fn push(&mut self, value: f64) {
         if self.buf.len() == self.cap {
             let old = self.buf.pop_front().expect("window full implies non-empty");
+            if old.to_bits() == value.to_bits() && old != 0.0 {
+                self.buf.push_back(value);
+                return;
+            }
             let evicted = self.set.remove(old);
-            debug_assert!(evicted, "window and tree out of sync");
+            debug_assert!(evicted, "window and set out of sync");
         }
         self.set.insert(value);
         self.buf.push_back(value);

@@ -8,7 +8,9 @@ use hcloud_sim::event::{EventQueue, LEVEL_BITS};
 use hcloud_sim::rng::{RngFactory, SimRng};
 use hcloud_sim::series::StepSeries;
 use hcloud_sim::slot::{SlotKey, SlotMap};
-use hcloud_sim::stats::{percentile, percentile_sorted, Boxplot, Cdf, OnlineStats, QuantileSet};
+use hcloud_sim::stats::{
+    percentile, percentile_sorted, Boxplot, Cdf, OnlineStats, QuantileSet, RollingQuantiles,
+};
 use hcloud_sim::{SimDuration, SimTime};
 use heap_queue::HeapEventQueue;
 use proptest::prelude::*;
@@ -306,6 +308,53 @@ proptest! {
             };
             prop_assert_eq!(q.percentile(p), want, "p = {}", p);
         }
+    }
+
+    /// `RollingQuantiles` tracks a clone-and-sort reference of its last
+    /// `cap` pushes. Values come from a six-letter alphabet holding both
+    /// zeros, so bit-equal evictions and duplicate groups are frequent.
+    /// The set stores every member of an equal group as the value that
+    /// opened the group, so the reference maps each zero to the zero that
+    /// arrived first since the window last held none.
+    #[test]
+    fn rolling_quantiles_match_sorted_window_with_duplicates(
+        cap in 1usize..65,
+        picks in prop::collection::vec(0usize..6, 1..400),
+    ) {
+        const ALPHABET: [f64; 6] = [0.0, -0.0, 0.25, 0.5, 0.75, 1.0];
+        let mut w = RollingQuantiles::new(cap);
+        let mut window = std::collections::VecDeque::new();
+        let mut zero: Option<f64> = None;
+        for pick in picks {
+            let v = ALPHABET[pick];
+            if window.len() == cap {
+                window.pop_front();
+            }
+            if !window.iter().any(|&x: &f64| x == 0.0) {
+                zero = None;
+            }
+            if v == 0.0 {
+                zero.get_or_insert(v);
+            }
+            window.push_back(v);
+            w.push(v);
+            let mut sorted: Vec<f64> = window
+                .iter()
+                .map(|&x| if x == 0.0 { zero.expect("a zero is held") } else { x })
+                .collect();
+            sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+            prop_assert_eq!(w.len(), sorted.len());
+            for p in [0.0, 10.0, 50.0, 90.0, 100.0] {
+                prop_assert_eq!(
+                    w.percentile(p).map(f64::to_bits),
+                    Some(percentile_sorted(&sorted, p).to_bits()),
+                    "p = {}", p
+                );
+            }
+        }
+        let held: Vec<u64> = w.iter().map(f64::to_bits).collect();
+        let want: Vec<u64> = window.iter().map(|x| x.to_bits()).collect();
+        prop_assert_eq!(held, want);
     }
 
     /// `SlotMap` agrees with a naive parallel-vector model: live handles

@@ -25,10 +25,9 @@ use hcloud_json::{ObjectBuilder, Value};
 
 /// The instrumented subsystems, in reporting order.
 ///
-/// The set mirrors the optimisation history: the event queue (PR 6's
-/// timing wheel vs the reference heap), the placement front door (PR 4's
-/// indexed `find_placement`), the quality-monitor quantiles (PR 4's
-/// `QuantileSet`), and the conservation-audit hooks (PR 5).
+/// The set covers the event queue, the placement front door
+/// (`find_placement`), the per-tick quality sampling and the
+/// conservation-audit hooks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProfSpan {
     /// `sim::event` — scheduling events into the queue.
@@ -37,7 +36,10 @@ pub enum ProfSpan {
     EventPop,
     /// `core::scheduler` — the typed placement front door.
     FindPlacement,
-    /// `core::monitor` — quality-sample absorption and Q90 queries.
+    /// `core::scheduler` — per-tick quality sampling: one cloud
+    /// external-pressure read and one monitor window update per ready
+    /// on-demand instance. Q90 queries made while placing are not in it.
+    /// Reported as `monitor-quantiles`, the name artifacts already use.
     MonitorQuantiles,
     /// `audit` — per-step and end-of-run conservation checks.
     AuditHooks,
