@@ -30,7 +30,7 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use hcloud::{RunResult, StrategyRef, StrategyRegistry};
+use hcloud::{RunResult, StrategyId, StrategyRef};
 use hcloud_bench::fleet::run_digest;
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{artifacts, ExperimentPlan, Harness, RunSpec, Table};
@@ -55,7 +55,12 @@ const INFO: &ExperimentInfo = &registry::EXT_THEORY_STRATEGIES;
 
 /// The default grid: the paper's two hybrids as the baseline, then the
 /// two theory-grounded newcomers.
-const SHORT_NAMES: [&str; 4] = ["HF", "HM", "RA", "QC"];
+const STRATEGIES: [StrategyId; 4] = [
+    StrategyId::HF,
+    StrategyId::HM,
+    StrategyId::RA,
+    StrategyId::QC,
+];
 
 /// Scenario variants per strategy.
 const VARIANTS: [&str; 3] = ["plain", "chaos", "tenant-zipf"];
@@ -125,14 +130,7 @@ fn main() -> ExitCode {
     // default grid is the paper hybrids plus the two newcomers.
     let strategies: Vec<StrategyRef> = match h.ctx().strategy {
         Some(id) => vec![id.resolve()],
-        None => SHORT_NAMES
-            .iter()
-            .map(|s| {
-                StrategyRegistry::builtin()
-                    .get(s)
-                    .expect("builtin strategy")
-            })
-            .collect(),
+        None => STRATEGIES.map(StrategyRef::from).to_vec(),
     };
 
     let base = Arc::new(h.scenario(ScenarioKind::HighVariability).clone());

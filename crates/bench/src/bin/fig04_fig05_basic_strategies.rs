@@ -6,9 +6,9 @@
 //! latency boxplots. Figure 5: run cost normalized to the static
 //! scenario under SR.
 
-use hcloud::StrategyKind;
+use hcloud::StrategyId;
 use hcloud_bench::registry::{self, ExperimentInfo};
-use hcloud_bench::{write_json, ExperimentPlan, Harness, RunSpec, Table};
+use hcloud_bench::{strategy_code, write_json, ExperimentPlan, Harness, RunSpec, Table};
 use hcloud_pricing::{PricingModel, Rates};
 use hcloud_workloads::ScenarioKind;
 
@@ -17,11 +17,7 @@ const INFO: &ExperimentInfo = &registry::FIG04_FIG05;
 
 fn main() -> std::process::ExitCode {
     let mut h = Harness::for_experiment(INFO);
-    let strategies = [
-        StrategyKind::StaticReserved,
-        StrategyKind::OnDemandFull,
-        StrategyKind::OnDemandMixed,
-    ];
+    let strategies = [StrategyId::SR, StrategyId::ODF, StrategyId::ODM];
     let rates = Rates::default();
     let model = PricingModel::aws();
 
@@ -68,7 +64,7 @@ fn main() -> std::process::ExitCode {
                 ]);
                 json.push(vec![
                     kind as u8 as f64,
-                    strategy as u8 as f64,
+                    strategy_code(strategy),
                     profiling as u8 as f64,
                     b.p5,
                     b.p25,
@@ -126,7 +122,7 @@ fn main() -> std::process::ExitCode {
                 ]);
                 json.push(vec![
                     kind as u8 as f64,
-                    strategy as u8 as f64,
+                    strategy_code(strategy),
                     profiling as u8 as f64,
                     b.p5,
                     b.p25,
@@ -156,10 +152,7 @@ fn main() -> std::process::ExitCode {
     println!("Figure 5: cost of fully reserved and on-demand systems");
     println!("(normalized to the static scenario under SR)\n");
     let baseline = h
-        .run(RunSpec::of(
-            ScenarioKind::Static,
-            StrategyKind::StaticReserved,
-        ))
+        .run(RunSpec::of(ScenarioKind::Static, StrategyId::SR))
         .cost(&rates, &model)
         .total();
     let mut t = Table::new(vec!["scenario", "SR", "OdF", "OdM"]);
@@ -184,16 +177,10 @@ fn main() -> std::process::ExitCode {
 
     // Headline check from Section 3.4: SR beats OdM ~2.2x on average.
     let sr = h
-        .run(RunSpec::of(
-            ScenarioKind::HighVariability,
-            StrategyKind::StaticReserved,
-        ))
+        .run(RunSpec::of(ScenarioKind::HighVariability, StrategyId::SR))
         .mean_degradation();
     let odm = h
-        .run(RunSpec::of(
-            ScenarioKind::HighVariability,
-            StrategyKind::OnDemandMixed,
-        ))
+        .run(RunSpec::of(ScenarioKind::HighVariability, StrategyId::ODM))
         .mean_degradation();
     println!("\nSR vs OdM mean degradation (high variability): {:.2}x vs {:.2}x -> OdM {:.2}x worse (paper: 2.2x)",
         sr, odm, odm / sr);

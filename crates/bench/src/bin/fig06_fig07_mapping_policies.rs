@@ -6,9 +6,9 @@
 //! (Figure 7) the utilization of reserved resources and total cost
 //! normalized to static-SR.
 
-use hcloud::{MappingPolicy, StrategyKind};
+use hcloud::{MappingPolicy, StrategyId};
 use hcloud_bench::registry::{self, ExperimentInfo};
-use hcloud_bench::{write_json, ExperimentPlan, Harness, RunSpec, Table};
+use hcloud_bench::{strategy_code, write_json, ExperimentPlan, Harness, RunSpec, Table};
 use hcloud_pricing::{PricingModel, Rates};
 use hcloud_sim::stats::mean;
 use hcloud_workloads::ScenarioKind;
@@ -21,14 +21,11 @@ fn main() -> std::process::ExitCode {
     let rates = Rates::default();
     let model = PricingModel::aws();
     let kind = ScenarioKind::HighVariability;
-    let strategies = [StrategyKind::HybridFull, StrategyKind::HybridMixed];
+    let strategies = [StrategyId::HF, StrategyId::HM];
 
     // One plan: the SR-static cost baseline plus the 2x8 policy grid.
     let mut plan = ExperimentPlan::new();
-    plan.push(RunSpec::of(
-        ScenarioKind::Static,
-        StrategyKind::StaticReserved,
-    ));
+    plan.push(RunSpec::of(ScenarioKind::Static, StrategyId::SR));
     for strategy in strategies {
         for (_, policy) in MappingPolicy::paper_set() {
             plan.push(RunSpec::of(kind, strategy).policy(policy));
@@ -37,10 +34,7 @@ fn main() -> std::process::ExitCode {
     h.run_plan(plan);
 
     let baseline = h
-        .run(RunSpec::of(
-            ScenarioKind::Static,
-            StrategyKind::StaticReserved,
-        ))
+        .run(RunSpec::of(ScenarioKind::Static, StrategyId::SR))
         .cost(&rates, &model)
         .total();
 
@@ -73,7 +67,7 @@ fn main() -> std::process::ExitCode {
                 format!("{cost:.2}"),
             ]);
             json.push(vec![
-                strategy as u8 as f64,
+                strategy_code(strategy),
                 sidx as f64,
                 perf_res,
                 perf_od,

@@ -5,9 +5,9 @@
 //! without profiling information. Figure 11: cost split into reserved and
 //! on-demand components, normalized to the static scenario under SR.
 
-use hcloud::StrategyKind;
+use hcloud::StrategyId;
 use hcloud_bench::registry::{self, ExperimentInfo};
-use hcloud_bench::{write_json, ExperimentPlan, Harness, RunSpec, Table};
+use hcloud_bench::{strategy_code, write_json, ExperimentPlan, Harness, RunSpec, Table};
 use hcloud_pricing::{PricingModel, Rates};
 use hcloud_workloads::ScenarioKind;
 
@@ -16,11 +16,7 @@ const INFO: &ExperimentInfo = &registry::FIG10_FIG11;
 
 fn main() -> std::process::ExitCode {
     let mut h = Harness::for_experiment(INFO);
-    let strategies = [
-        StrategyKind::StaticReserved,
-        StrategyKind::HybridFull,
-        StrategyKind::HybridMixed,
-    ];
+    let strategies = [StrategyId::SR, StrategyId::HF, StrategyId::HM];
     let rates = Rates::default();
     let model = PricingModel::aws();
 
@@ -34,7 +30,7 @@ fn main() -> std::process::ExitCode {
             }
         }
     }
-    for strategy in StrategyKind::ALL {
+    for strategy in StrategyId::PAPER {
         plan.push(RunSpec::of(ScenarioKind::HighVariability, strategy));
     }
     h.run_plan(plan);
@@ -84,7 +80,7 @@ fn main() -> std::process::ExitCode {
                     ]);
                     json.push(vec![
                         kind as u8 as f64,
-                        strategy as u8 as f64,
+                        strategy_code(strategy),
                         profiling as u8 as f64,
                         b.p5,
                         b.p25,
@@ -118,10 +114,7 @@ fn main() -> std::process::ExitCode {
 
     println!("Figure 11: cost comparison SR / HF / HM (normalized to static SR)\n");
     let baseline = h
-        .run(RunSpec::of(
-            ScenarioKind::Static,
-            StrategyKind::StaticReserved,
-        ))
+        .run(RunSpec::of(ScenarioKind::Static, StrategyId::SR))
         .cost(&rates, &model)
         .total();
     let mut t = Table::new(vec![
@@ -144,7 +137,7 @@ fn main() -> std::process::ExitCode {
             ]);
             json.push(vec![
                 kind as u8 as f64,
-                strategy as u8 as f64,
+                strategy_code(strategy),
                 c.reserved / baseline,
                 c.on_demand / baseline,
             ]);
@@ -160,19 +153,19 @@ fn main() -> std::process::ExitCode {
     // Headline checks.
     let kind = ScenarioKind::HighVariability;
     let sr = h
-        .run(RunSpec::of(kind, StrategyKind::StaticReserved))
+        .run(RunSpec::of(kind, StrategyId::SR))
         .mean_normalized_perf();
     let hf = h
-        .run(RunSpec::of(kind, StrategyKind::HybridFull))
+        .run(RunSpec::of(kind, StrategyId::HF))
         .mean_normalized_perf();
     let hm = h
-        .run(RunSpec::of(kind, StrategyKind::HybridMixed))
+        .run(RunSpec::of(kind, StrategyId::HM))
         .mean_normalized_perf();
     let odf = h
-        .run(RunSpec::of(kind, StrategyKind::OnDemandFull))
+        .run(RunSpec::of(kind, StrategyId::ODF))
         .mean_normalized_perf();
     let odm = h
-        .run(RunSpec::of(kind, StrategyKind::OnDemandMixed))
+        .run(RunSpec::of(kind, StrategyId::ODM))
         .mean_normalized_perf();
     println!("\nHeadline checks (high variability):");
     println!(
@@ -182,7 +175,7 @@ fn main() -> std::process::ExitCode {
     );
     println!("  hybrid vs on-demand performance: HF/OdF {:.2}x, HM/OdM {:.2}x (paper: 2.1x avg incl. latency blowups)",
         hf / odf, hm / odm);
-    let degs: Vec<f64> = StrategyKind::ALL
+    let degs: Vec<f64> = StrategyId::PAPER
         .iter()
         .map(|&s| h.run(RunSpec::of(kind, s)).mean_degradation())
         .collect();
@@ -194,17 +187,17 @@ fn main() -> std::process::ExitCode {
         "  → hybrid-vs-on-demand degradation ratio: HM {:.2}x better than OdM (paper: 2.1x)",
         degs[2] / degs[4]
     );
-    for s in [StrategyKind::HybridFull, StrategyKind::HybridMixed] {
+    for s in [StrategyId::HF, StrategyId::HM] {
         if let Some(u) = h.run(RunSpec::of(kind, s)).mean_reserved_utilization() {
             println!(
                 "  {} mean reserved utilization {:.0}% (paper: ~80% in steady state)",
-                s,
+                s.short_name(),
                 u * 100.0
             );
         }
     }
     println!("  with/without profiling improvement (degradation ratio): HF {:.2}x, HM {:.2}x (paper: 2.4x / 2.77x)",
-        h.run(RunSpec::of(kind, StrategyKind::HybridFull).profiling(false)).mean_degradation() / degs[3],
-        h.run(RunSpec::of(kind, StrategyKind::HybridMixed).profiling(false)).mean_degradation() / degs[4]);
+        h.run(RunSpec::of(kind, StrategyId::HF).profiling(false)).mean_degradation() / degs[3],
+        h.run(RunSpec::of(kind, StrategyId::HM).profiling(false)).mean_degradation() / degs[4]);
     h.finish("fig10_fig11")
 }

@@ -5,7 +5,7 @@
 //! sweeps 0–120 s. Right: p95 performance normalized to isolation as the
 //! mean external load sweeps 0–100%.
 
-use hcloud::StrategyKind;
+use hcloud::StrategyId;
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{write_json, ExperimentPlan, Harness, RunSpec, Table};
 use hcloud_cloud::{ExternalLoadModel, SpinUpModel};
@@ -32,12 +32,12 @@ fn main() -> std::process::ExitCode {
     };
     let mut plan = ExperimentPlan::new();
     for &secs in &spinups {
-        for strategy in StrategyKind::ALL {
+        for strategy in StrategyId::PAPER {
             plan.push(spinup_spec(strategy, secs));
         }
     }
     for &load in &loads {
-        for strategy in StrategyKind::ALL {
+        for strategy in StrategyId::PAPER {
             plan.push(load_spec(strategy, load));
         }
     }
@@ -49,15 +49,15 @@ fn main() -> std::process::ExitCode {
     for &secs in &spinups {
         // SR pays no spin-up; it is the per-sweep baseline.
         let sr = h
-            .run(spinup_spec(StrategyKind::StaticReserved, secs))
+            .run(spinup_spec(StrategyId::SR, secs))
             .p95_normalized_perf();
         let mut row = vec![format!("{secs:.0}"), "100".to_string()];
         let mut jrow = vec![secs, 100.0];
         for strategy in [
-            StrategyKind::OnDemandFull,
-            StrategyKind::OnDemandMixed,
-            StrategyKind::HybridFull,
-            StrategyKind::HybridMixed,
+            StrategyId::ODF,
+            StrategyId::ODM,
+            StrategyId::HF,
+            StrategyId::HM,
         ] {
             let p = h.run(spinup_spec(strategy, secs)).p95_normalized_perf() / sr * 100.0;
             row.push(format!("{p:.0}"));
@@ -81,7 +81,7 @@ fn main() -> std::process::ExitCode {
     for &load in &loads {
         let mut row = vec![format!("{:.0}", load * 100.0)];
         let mut jrow = vec![load * 100.0];
-        for strategy in StrategyKind::ALL {
+        for strategy in StrategyId::PAPER {
             let p = h.run(load_spec(strategy, load)).p95_normalized_perf() * 100.0;
             row.push(format!("{p:.0}"));
             jrow.push(p);

@@ -2,9 +2,9 @@
 //! the high-variability scenario — required cores vs reserved and
 //! on-demand allocations.
 
-use hcloud::StrategyKind;
+use hcloud::StrategyId;
 use hcloud_bench::registry::{self, ExperimentInfo};
-use hcloud_bench::{sparkline, write_json, ExperimentPlan, Harness, RunSpec, Table};
+use hcloud_bench::{sparkline, strategy_code, write_json, ExperimentPlan, Harness, RunSpec, Table};
 use hcloud_sim::{SimDuration, SimTime};
 use hcloud_workloads::ScenarioKind;
 
@@ -17,7 +17,7 @@ fn main() -> std::process::ExitCode {
     let required = h.scenario(kind).required_cores_series();
     let step = SimDuration::from_mins(4);
 
-    let plan: ExperimentPlan = StrategyKind::ALL
+    let plan: ExperimentPlan = StrategyId::PAPER
         .iter()
         .map(|&s| RunSpec::of(kind, s))
         .collect();
@@ -25,7 +25,7 @@ fn main() -> std::process::ExitCode {
 
     println!("Figure 18: resource allocation, high-variability scenario\n");
     let mut json: Vec<Vec<f64>> = Vec::new();
-    for strategy in StrategyKind::ALL {
+    for strategy in StrategyId::PAPER {
         let r = h.run(RunSpec::of(kind, strategy));
         let end = r.makespan;
         let mut req = Vec::new();
@@ -56,7 +56,7 @@ fn main() -> std::process::ExitCode {
         );
         for (i, ((rq, rs), o)) in req.iter().zip(&res).zip(&od).enumerate() {
             json.push(vec![
-                strategy as u8 as f64,
+                strategy_code(strategy),
                 i as f64 * step.as_mins_f64(),
                 *rq,
                 *rs,
@@ -71,7 +71,7 @@ fn main() -> std::process::ExitCode {
         "avg od active",
         "released immediately",
     ]);
-    for strategy in StrategyKind::ALL {
+    for strategy in StrategyId::PAPER {
         let r = h.run(RunSpec::of(kind, strategy));
         let avg_od = r
             .od_allocated

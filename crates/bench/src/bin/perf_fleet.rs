@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hcloud::runner::{run_scenario, RunCtx};
-use hcloud::{RunConfig, StrategyKind};
+use hcloud::{RunConfig, StrategyId};
 use hcloud_bench::fleet::{fleet_config, run_digest};
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{artifacts, Engine, ExperimentCtx, ExperimentPlan, RunSpec};
@@ -46,7 +46,7 @@ const REPS: usize = 2;
 /// almost immediately, so the fleet re-acquires constantly — >100k
 /// instances over the full run.
 fn fleet_run_config() -> RunConfig {
-    RunConfig::new(StrategyKind::OnDemandMixed).with_retention_mult(0.05)
+    RunConfig::new(StrategyId::ODM).with_retention_mult(0.05)
 }
 
 /// This binary's entry in the experiment registry.
@@ -126,11 +126,9 @@ fn main() -> ExitCode {
         .map(|&jobs| {
             let engine = Engine::new(ctx.with_jobs(jobs));
             let mut plan = ExperimentPlan::new();
+            plan.push(RunSpec::on(shared.clone(), StrategyId::ODM).config(config.clone()));
             plan.push(
-                RunSpec::on(shared.clone(), StrategyKind::OnDemandMixed).config(config.clone()),
-            );
-            plan.push(
-                RunSpec::on(shared.clone(), StrategyKind::OnDemandMixed)
+                RunSpec::on(shared.clone(), StrategyId::ODM)
                     .config(config.clone())
                     .seed(ctx.master_seed + 1),
             );

@@ -6,7 +6,7 @@
 //! worst-case seed — the reproduction's claims should survive all of
 //! them.
 
-use hcloud::StrategyKind;
+use hcloud::StrategyId;
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{write_json, Harness, RunSpec, Table};
 use hcloud_pricing::{PricingModel, Rates};
@@ -43,7 +43,7 @@ fn main() -> std::process::ExitCode {
     let plan: hcloud_bench::ExperimentPlan = SEEDS
         .iter()
         .flat_map(|&seed| {
-            StrategyKind::ALL
+            StrategyId::PAPER
                 .iter()
                 .map(move |&s| RunSpec::of(ScenarioKind::HighVariability, s).seed(seed))
         })
@@ -51,7 +51,7 @@ fn main() -> std::process::ExitCode {
     let results = h.run_plan(plan);
 
     for (sidx, &seed) in SEEDS.iter().enumerate() {
-        let runs = &results[sidx * StrategyKind::ALL.len()..(sidx + 1) * StrategyKind::ALL.len()];
+        let runs = &results[sidx * StrategyId::PAPER.len()..(sidx + 1) * StrategyId::PAPER.len()];
         let mut jrow = vec![seed as f64];
         for (i, r) in runs.iter().enumerate() {
             perf[i].record(r.mean_normalized_perf());
@@ -87,7 +87,7 @@ fn main() -> std::process::ExitCode {
         "mean degradation",
         "run cost $",
     ]);
-    for (i, strategy) in StrategyKind::ALL.iter().enumerate() {
+    for (i, strategy) in StrategyId::PAPER.iter().enumerate() {
         t.row(vec![
             strategy.short_name().into(),
             fmt(&perf[i]),

@@ -1,7 +1,7 @@
 //! Tables 1 and 3: qualitative comparison of provisioning configurations
 //! and the strategy resource matrix.
 
-use hcloud::StrategyKind;
+use hcloud::{OnDemand, StrategyId, StrategyRef};
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::Table;
 
@@ -47,22 +47,27 @@ fn main() {
 
     println!("Table 3: Resource provisioning strategies\n");
     let mut t3 = Table::new(vec!["", "SR", "OdF", "OdM", "HF", "HM"]);
-    let yes_no = |b: bool| if b { "Yes" } else { "No" }.to_string();
+    let caps: Vec<_> = StrategyId::PAPER
+        .iter()
+        .map(|&s| StrategyRef::from(s).caps())
+        .collect();
     t3.row(
         std::iter::once("Reserved resources".to_string())
-            .chain(StrategyKind::ALL.iter().map(|s| yes_no(s.uses_reserved())))
+            .chain(
+                caps.iter()
+                    .map(|c| if c.reserved { "Yes" } else { "No" }.into()),
+            )
             .collect(),
     );
     t3.row(
         std::iter::once("On-demand resources".to_string())
-            .chain(StrategyKind::ALL.iter().map(|s| {
-                if !s.uses_on_demand() {
-                    "No".to_string()
-                } else if s.on_demand_full_only() {
-                    "Yes (full servers)".to_string()
-                } else {
-                    "Yes".to_string()
+            .chain(caps.iter().map(|c| {
+                match c.on_demand {
+                    OnDemand::None => "No",
+                    OnDemand::FullServers => "Yes (full servers)",
+                    OnDemand::AnySize => "Yes",
                 }
+                .into()
             }))
             .collect(),
     );

@@ -2,7 +2,8 @@
 //!
 //! [`write_dashboard`] walks the [`crate::registry`] against the working
 //! tree — `results/*.json` artifact stamps, committed goldens, and the
-//! repo-root `BENCH_hotpath.json` / `BENCH_fleet.json` perf records — and
+//! `BENCH_hotpath.json` (repo root) / `results/BENCH_fleet.json` perf
+//! records — and
 //! renders two files under `docs/alignment/`:
 //!
 //! * `STATUS.md` — one coverage row per registered experiment (artifact
@@ -177,10 +178,10 @@ fn hotpath_rows(root: &Path) -> Vec<Value> {
     rows
 }
 
-/// Extracts the perf-trajectory candidate rows from the repo-root
-/// `BENCH_fleet.json`: one row per queue implementation.
+/// Extracts the perf-trajectory candidate rows from the committed
+/// `results/BENCH_fleet.json`: one row per queue implementation.
 fn fleet_rows(root: &Path) -> Vec<Value> {
-    let Some(doc) = load_json(&root.join("BENCH_fleet.json")) else {
+    let Some(doc) = load_json(&root.join("results/BENCH_fleet.json")) else {
         return Vec::new();
     };
     let Some(queues) = doc.get("queues").and_then(Value::as_array) else {

@@ -226,11 +226,11 @@ enum ScenarioSource {
 /// (or [`crate::Harness::run`] for a single cached run):
 ///
 /// ```no_run
-/// use hcloud::StrategyKind;
+/// use hcloud::StrategyId;
 /// use hcloud_bench::RunSpec;
 /// use hcloud_workloads::ScenarioKind;
 ///
-/// let spec = RunSpec::of(ScenarioKind::HighVariability, StrategyKind::HybridMixed)
+/// let spec = RunSpec::of(ScenarioKind::HighVariability, StrategyId::HM)
 ///     .profiling(false)
 ///     .seed(7);
 /// ```
@@ -244,7 +244,7 @@ pub struct RunSpec {
 
 impl RunSpec {
     /// A paper-default run of `strategy` (a [`StrategyRef`], a
-    /// [`hcloud::StrategyKind`], or anything else convertible) on the
+    /// [`hcloud::StrategyId`], or anything else convertible) on the
     /// generated scenario `kind`.
     pub fn of(kind: ScenarioKind, strategy: impl Into<StrategyRef>) -> RunSpec {
         RunSpec {
@@ -762,7 +762,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcloud::StrategyKind;
+    use hcloud::StrategyId;
 
     #[test]
     fn ctx_defaults_match_legacy_behaviour() {
@@ -846,7 +846,7 @@ mod tests {
     fn ambient_fault_plan_changes_cache_key_but_respects_explicit_plans() {
         let off = ExperimentCtx::new(42);
         let chaotic = ExperimentCtx::new(42).with_faults(FaultPlanId::FullChaos);
-        let spec = RunSpec::of(ScenarioKind::Static, StrategyKind::HybridMixed);
+        let spec = RunSpec::of(ScenarioKind::Static, StrategyId::HM);
         assert_ne!(spec.cache_key(&off), spec.cache_key(&chaotic));
         assert!(spec.effective_config(&off).faults.is_off());
         assert!(!spec.effective_config(&chaotic).faults.is_off());
@@ -868,11 +868,11 @@ mod tests {
 
     #[test]
     fn specs_build_and_label() {
-        let spec = RunSpec::of(ScenarioKind::Static, StrategyKind::HybridMixed)
+        let spec = RunSpec::of(ScenarioKind::Static, StrategyId::HM)
             .profiling(false)
             .seed(9);
         assert!(!spec.get_config().profiling);
-        assert_eq!(spec.strategy(), StrategyKind::HybridMixed);
+        assert_eq!(spec.strategy(), StrategyId::HM.into());
         assert_eq!(spec.scenario_kind(), Some(ScenarioKind::Static));
         assert!(spec.display_label().contains("seed9"));
         let labelled = spec.label("custom-label");
@@ -882,7 +882,7 @@ mod tests {
     #[test]
     fn cache_keys_distinguish_configs_and_seeds() {
         let ctx = ExperimentCtx::new(42);
-        let a = RunSpec::of(ScenarioKind::Static, StrategyKind::HybridMixed);
+        let a = RunSpec::of(ScenarioKind::Static, StrategyId::HM);
         let b = a.clone().profiling(false);
         let c = a.clone().seed(43);
         let d = a.clone().map_config(|c| c.with_retention_mult(4.0));
@@ -899,7 +899,7 @@ mod tests {
     #[test]
     fn parallel_results_match_sequential_and_plan_order() {
         let mut plan = ExperimentPlan::new();
-        for strategy in [StrategyKind::StaticReserved, StrategyKind::HybridMixed] {
+        for strategy in [StrategyId::SR, StrategyId::HM] {
             for seed in [1u64, 2] {
                 plan.push(RunSpec::of(ScenarioKind::Static, strategy).seed(seed));
             }
@@ -932,8 +932,8 @@ mod tests {
     #[test]
     fn full_trace_mode_records_every_run() {
         let mut plan = ExperimentPlan::new();
-        plan.push(RunSpec::of(ScenarioKind::Static, StrategyKind::HybridMixed).seed(3));
-        plan.push(RunSpec::of(ScenarioKind::Static, StrategyKind::StaticReserved).seed(3));
+        plan.push(RunSpec::of(ScenarioKind::Static, StrategyId::HM).seed(3));
+        plan.push(RunSpec::of(ScenarioKind::Static, StrategyId::SR).seed(3));
         let ctx = ExperimentCtx::new(42)
             .with_fast(true)
             .with_trace(TraceMode::Full);
@@ -955,10 +955,7 @@ mod tests {
     #[test]
     fn registry_restates_the_summary() {
         let mut plan = ExperimentPlan::new();
-        plan.push(RunSpec::of(
-            ScenarioKind::Static,
-            StrategyKind::StaticReserved,
-        ));
+        plan.push(RunSpec::of(ScenarioKind::Static, StrategyId::SR));
         let ctx = ExperimentCtx::new(42).with_fast(true).with_jobs(1);
         let outcome = Engine::new(ctx).run_plan(&plan);
         let reg = outcome.telemetry.registry();
@@ -980,8 +977,8 @@ mod tests {
     #[test]
     fn strict_audit_plan_succeeds_and_matches_unaudited_results() {
         let mut plan = ExperimentPlan::new();
-        plan.push(RunSpec::of(ScenarioKind::Static, StrategyKind::HybridMixed).seed(5));
-        plan.push(RunSpec::of(ScenarioKind::HighVariability, StrategyKind::OnDemandMixed).seed(5));
+        plan.push(RunSpec::of(ScenarioKind::Static, StrategyId::HM).seed(5));
+        plan.push(RunSpec::of(ScenarioKind::HighVariability, StrategyId::ODM).seed(5));
         let ctx = ExperimentCtx::new(42).with_fast(true).with_jobs(2);
         let plain = Engine::new(ctx).run_plan(&plan);
         let audited = Engine::new(ctx.with_audit(AuditMode::Strict))
@@ -994,8 +991,8 @@ mod tests {
     #[test]
     fn summary_profiling_never_perturbs_results_and_counts_spans() {
         let mut plan = ExperimentPlan::new();
-        plan.push(RunSpec::of(ScenarioKind::Static, StrategyKind::HybridMixed).seed(8));
-        plan.push(RunSpec::of(ScenarioKind::LowVariability, StrategyKind::OnDemandFull).seed(8));
+        plan.push(RunSpec::of(ScenarioKind::Static, StrategyId::HM).seed(8));
+        plan.push(RunSpec::of(ScenarioKind::LowVariability, StrategyId::ODF).seed(8));
         let ctx = ExperimentCtx::new(42).with_fast(true).with_jobs(2);
         let plain = Engine::new(ctx).run_plan(&plan);
         let profiled = Engine::new(ctx.with_trace(TraceMode::Summary)).run_plan(&plan);

@@ -55,4 +55,4 @@ pub use engine::{
 pub use env::EnvOpts;
 pub use harness::{paper_scenario, Harness};
 pub use registry::{ExperimentInfo, ExperimentKind};
-pub use report::{heatmap_row, sparkline, write_json, Table};
+pub use report::{heatmap_row, sparkline, strategy_code, write_json, Table};

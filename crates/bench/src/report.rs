@@ -5,6 +5,8 @@ use std::fs;
 use std::path::Path;
 use std::time::Instant;
 
+use hcloud::StrategyId;
+
 use crate::artifacts;
 use crate::registry;
 
@@ -130,6 +132,15 @@ pub fn heatmap_row(values: &[f64]) -> String {
             SHADES[idx.min(4)]
         })
         .collect()
+}
+
+/// A paper strategy's numeric code in JSON rows: its position in
+/// [`StrategyId::PAPER`] (SR = 0 … HM = 4).
+pub fn strategy_code(strategy: StrategyId) -> f64 {
+    StrategyId::PAPER
+        .iter()
+        .position(|&s| s == strategy)
+        .expect("one of the paper's five strategies") as f64
 }
 
 /// Writes `(x, series...)` data as JSON under `results/<name>.json`,

@@ -1,19 +1,21 @@
-//! The trait port of the five paper strategies is byte-identical.
+//! The five paper strategies are byte-identical to the committed goldens.
 //!
-//! PR 9 moved SR/OdF/OdM/HF/HM from `StrategyKind` match arms onto the
-//! [`ProvisioningStrategy`] trait behind the registry. These tests pin
-//! that port three ways:
+//! The paper's five are data rows (a Table 3 `StrategyCaps` value each)
+//! whose every hook is a trait default behind the registry. These tests
+//! pin them two ways:
 //!
 //! * registry-resolved handles reproduce the committed
 //!   `BENCH_hotpath_fast.json` digests exactly (the same digests CI
 //!   compares after running `perf_hotpath`);
-//! * enum dispatch and registry dispatch agree byte-for-byte across a
-//!   property-searched grid of strategy × fault plan × tenancy × seed;
-//! * so a behavioural regression in the port fails here, in-tree,
-//!   before it fails in CI.
+//! * a shared registry handle reused across runs and a handle from a
+//!   freshly built registry agree byte-for-byte across a
+//!   property-searched grid of strategy × fault plan × tenancy × seed,
+//!   so no run-local strategy state leaks between runs.
+//!
+//! A behavioural regression fails here, in-tree, before it fails in CI.
 
 use hcloud::runner::{run_scenario, RunCtx};
-use hcloud::{RunConfig, StrategyKind, StrategyRegistry};
+use hcloud::{RunConfig, StrategyId, StrategyRef, StrategyRegistry};
 use hcloud_bench::fleet::run_digest;
 use hcloud_faults::FaultPlanId;
 use hcloud_sim::rng::RngFactory;
@@ -44,7 +46,7 @@ fn registry_strategies_match_the_committed_hotpath_golden() {
         .get("strategies")
         .and_then(|v| v.as_array())
         .expect("golden has strategy rows");
-    assert_eq!(rows.len(), StrategyKind::ALL.len());
+    assert_eq!(rows.len(), StrategyId::PAPER.len());
     for row in rows {
         let short = row
             .get("strategy")
@@ -93,41 +95,43 @@ fn property_scenario(seed: u64, tenants: usize) -> Scenario {
 
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
-    /// Enum dispatch (the compat shim) and registry dispatch resolve to
-    /// byte-identical simulations for every paper strategy, under any
-    /// fault plan, with or without a tenancy gate, at any seed.
+    /// Every builtin strategy simulates byte-identically through the
+    /// shared registry handle (after it already ran once) and through a
+    /// handle from a freshly built registry, under any fault plan, with
+    /// or without a tenancy gate, at any seed.
     #[test]
-    fn enum_and_registry_dispatch_are_byte_identical(
+    fn shared_and_fresh_handles_are_byte_identical(
         seed in 0u64..1024,
-        strategy_idx in 0usize..StrategyKind::ALL.len(),
+        strategy_idx in 0usize..StrategyRegistry::builtin().all().len(),
         fault_idx in 0usize..FaultPlanId::ALL.len(),
         tenants in 0usize..10,
     ) {
         use proptest::prelude::prop_assert_eq;
 
-        let kind = StrategyKind::ALL[strategy_idx];
+        let shared = StrategyRegistry::builtin().all()[strategy_idx].clone();
+        let fresh = StrategyRegistry::with_builtins().all()[strategy_idx].clone();
         let fault_plan = FaultPlanId::ALL[fault_idx];
         let scenario = property_scenario(seed, tenants);
-        let via_enum = {
-            let config = RunConfig::new(kind).with_faults(fault_plan.plan());
+        let run = |strategy: &StrategyRef| {
+            let config = RunConfig::new(strategy).with_faults(fault_plan.plan());
             let factory = RngFactory::new(seed);
-            run_scenario(&scenario, &config, &RunCtx::new(&factory))
-                .expect("no auditor attached")
+            run_digest(
+                &run_scenario(&scenario, &config, &RunCtx::new(&factory))
+                    .expect("no auditor attached"),
+            )
         };
-        let via_registry = {
-            let strategy = StrategyRegistry::builtin()
-                .get(kind.short_name())
-                .expect("paper strategy is registered");
-            let config = RunConfig::new(&strategy).with_faults(fault_plan.plan());
-            let factory = RngFactory::new(seed);
-            run_scenario(&scenario, &config, &RunCtx::new(&factory))
-                .expect("no auditor attached")
-        };
+        let first = run(&shared);
         prop_assert_eq!(
-            run_digest(&via_enum),
-            run_digest(&via_registry),
-            "{}/{}/{} tenants: enum and registry dispatch diverged",
-            kind, fault_plan.name(), tenants
+            &first,
+            &run(&shared),
+            "{}/{}/{} tenants: a reused handle diverged",
+            shared, fault_plan.name(), tenants
+        );
+        prop_assert_eq!(
+            first,
+            run(&fresh),
+            "{}/{}/{} tenants: shared and fresh handles diverged",
+            shared, fault_plan.name(), tenants
         );
     }
 }

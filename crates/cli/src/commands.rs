@@ -6,7 +6,7 @@ use std::sync::Arc;
 use hcloud::config::SpotPolicy;
 use hcloud::{
     runner::{run_scenario, RunCtx},
-    RunConfig, RunResult, StrategyKind,
+    RunConfig, RunResult, StrategyRegistry,
 };
 use hcloud_bench::{Engine, ExperimentCtx, ExperimentPlan, RunSpec};
 use hcloud_cloud::{ExternalLoadModel, SpinUpModel};
@@ -766,16 +766,17 @@ fn compare(common: &Common) -> Result<(), String> {
         "{:<6} {:>8} {:>12} {:>14} {:>10} {:>10}",
         "strat", "perf %", "degradation", "lc p99 (µs)", "od acq", "cost $"
     );
-    // All five strategies fan out across the engine's worker pool.
+    // Every registered strategy fans out across the engine's worker pool.
     let mut ctx = ExperimentCtx::from_env()?;
     ctx.master_seed = common.seed;
     let engine = Engine::new(ctx);
-    let plan: ExperimentPlan = StrategyKind::ALL
+    let strategies = StrategyRegistry::builtin().all();
+    let plan: ExperimentPlan = strategies
         .iter()
-        .map(|&s| RunSpec::on(Arc::clone(&scenario), s))
+        .map(|s| RunSpec::on(Arc::clone(&scenario), s))
         .collect();
     let outcome = engine.run_plan(&plan);
-    for (&strategy, r) in StrategyKind::ALL.iter().zip(&outcome.results) {
+    for (strategy, r) in strategies.iter().zip(&outcome.results) {
         let lc = r.lc_latency_boxplot().map(|b| b.mean).unwrap_or(f64::NAN);
         println!(
             "{:<6} {:>8.1} {:>11.2}x {:>14.0} {:>10} {:>10.2}",

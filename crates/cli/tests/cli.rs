@@ -19,8 +19,11 @@ fn run_ok(args: &[&str]) -> String {
 #[test]
 fn compare_lists_all_strategies() {
     let out = run_ok(&["compare", "--scale", "0.08", "--minutes", "12"]);
-    for s in ["SR", "OdF", "OdM", "HF", "HM"] {
-        assert!(out.contains(s), "missing {s} in:\n{out}");
+    for s in ["SR", "OdF", "OdM", "HF", "HM", "RA", "QC"] {
+        assert!(
+            out.lines().any(|l| l.starts_with(&format!("{s} "))),
+            "missing {s} row in:\n{out}"
+        );
     }
     assert!(out.contains("cost"));
 }

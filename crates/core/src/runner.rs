@@ -317,7 +317,7 @@ pub fn run_scenario(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::StrategyKind;
+    use crate::strategy::StrategyId;
     use hcloud_workloads::{ScenarioConfig, ScenarioKind};
 
     /// A small scenario that runs in well under a second.
@@ -325,7 +325,7 @@ mod tests {
         Scenario::generate(ScenarioConfig::scaled(kind, 0.08, 20), &RngFactory::new(7))
     }
 
-    fn run(strategy: StrategyKind, kind: ScenarioKind) -> RunResult {
+    fn run(strategy: StrategyId, kind: ScenarioKind) -> RunResult {
         let scenario = small_scenario(kind);
         let config = RunConfig::new(strategy);
         let factory = RngFactory::new(7);
@@ -336,7 +336,7 @@ mod tests {
     fn all_jobs_complete_under_every_strategy() {
         let scenario = small_scenario(ScenarioKind::HighVariability);
         let factory = RngFactory::new(7);
-        for strategy in StrategyKind::ALL {
+        for strategy in StrategyId::PAPER {
             let config = RunConfig::new(strategy);
             let result = run_scenario(&scenario, &config, &RunCtx::new(&factory)).unwrap();
             assert_eq!(
@@ -349,8 +349,8 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic() {
-        let a = run(StrategyKind::HybridMixed, ScenarioKind::HighVariability);
-        let b = run(StrategyKind::HybridMixed, ScenarioKind::HighVariability);
+        let a = run(StrategyId::HM, ScenarioKind::HighVariability);
+        let b = run(StrategyId::HM, ScenarioKind::HighVariability);
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.outcomes.len(), b.outcomes.len());
         let perf_a: Vec<f64> = a.outcomes.iter().map(|o| o.normalized_perf).collect();
@@ -360,7 +360,7 @@ mod tests {
 
     #[test]
     fn sr_uses_no_on_demand() {
-        let r = run(StrategyKind::StaticReserved, ScenarioKind::Static);
+        let r = run(StrategyId::SR, ScenarioKind::Static);
         assert_eq!(r.counters.od_acquired, 0);
         assert!(r.usage_records.iter().all(|u| u.reserved));
         assert!(r.outcomes.iter().all(|o| o.on_reserved));
@@ -368,7 +368,7 @@ mod tests {
 
     #[test]
     fn on_demand_strategies_use_no_reserved() {
-        for s in [StrategyKind::OnDemandFull, StrategyKind::OnDemandMixed] {
+        for s in [StrategyId::ODF, StrategyId::ODM] {
             let r = run(s, ScenarioKind::Static);
             assert_eq!(r.reserved_cores, 0, "{s}");
             assert!(r.counters.od_acquired > 0, "{s}");
@@ -378,8 +378,8 @@ mod tests {
 
     #[test]
     fn odm_uses_smaller_instances_than_odf() {
-        let f = run(StrategyKind::OnDemandFull, ScenarioKind::Static);
-        let m = run(StrategyKind::OnDemandMixed, ScenarioKind::Static);
+        let f = run(StrategyId::ODF, ScenarioKind::Static);
+        let m = run(StrategyId::ODM, ScenarioKind::Static);
         let mean_vcpus = |r: &RunResult| {
             let od: Vec<u32> = r
                 .usage_records
@@ -394,7 +394,7 @@ mod tests {
 
     #[test]
     fn hybrids_use_both_kinds() {
-        let r = run(StrategyKind::HybridMixed, ScenarioKind::HighVariability);
+        let r = run(StrategyId::HM, ScenarioKind::HighVariability);
         assert!(r.reserved_cores > 0);
         assert!(r.counters.od_acquired > 0);
         let on_res = r.outcomes.iter().filter(|o| o.on_reserved).count();
@@ -403,8 +403,8 @@ mod tests {
 
     #[test]
     fn sr_outperforms_odm() {
-        let sr = run(StrategyKind::StaticReserved, ScenarioKind::HighVariability);
-        let odm = run(StrategyKind::OnDemandMixed, ScenarioKind::HighVariability);
+        let sr = run(StrategyId::SR, ScenarioKind::HighVariability);
+        let odm = run(StrategyId::ODM, ScenarioKind::HighVariability);
         assert!(
             sr.mean_normalized_perf() > odm.mean_normalized_perf(),
             "SR {} should beat OdM {}",
@@ -419,13 +419,13 @@ mod tests {
         let factory = RngFactory::new(7);
         let with = run_scenario(
             &scenario,
-            &RunConfig::new(StrategyKind::HybridMixed),
+            &RunConfig::new(StrategyId::HM),
             &RunCtx::new(&factory),
         )
         .unwrap();
         let without = run_scenario(
             &scenario,
-            &RunConfig::new(StrategyKind::HybridMixed).without_profiling(),
+            &RunConfig::new(StrategyId::HM).without_profiling(),
             &RunCtx::new(&factory),
         )
         .unwrap();
@@ -440,7 +440,7 @@ mod tests {
     #[test]
     fn tracing_does_not_perturb_results() {
         let scenario = small_scenario(ScenarioKind::HighVariability);
-        let config = RunConfig::new(StrategyKind::HybridMixed);
+        let config = RunConfig::new(StrategyId::HM);
         let factory = RngFactory::new(7);
         let plain = run_scenario(&scenario, &config, &RunCtx::new(&factory)).unwrap();
         let tracer = Tracer::enabled();
@@ -471,7 +471,7 @@ mod tests {
     fn strict_audit_passes_on_clean_runs() {
         let scenario = small_scenario(ScenarioKind::HighVariability);
         let factory = RngFactory::new(7);
-        for strategy in StrategyKind::ALL {
+        for strategy in StrategyId::PAPER {
             let config = RunConfig::new(strategy);
             let auditor = Auditor::new(hcloud_audit::AuditMode::Strict);
             let result = run_scenario(
@@ -491,7 +491,7 @@ mod tests {
     #[test]
     fn auditing_does_not_perturb_results() {
         let scenario = small_scenario(ScenarioKind::HighVariability);
-        let config = RunConfig::new(StrategyKind::HybridMixed);
+        let config = RunConfig::new(StrategyId::HM);
         let factory = RngFactory::new(7);
         let plain = run_scenario(&scenario, &config, &RunCtx::new(&factory)).unwrap();
         let auditor = Auditor::new(hcloud_audit::AuditMode::Strict);
@@ -510,7 +510,7 @@ mod tests {
     #[test]
     fn profiling_does_not_perturb_results() {
         let scenario = small_scenario(ScenarioKind::HighVariability);
-        let config = RunConfig::new(StrategyKind::HybridMixed);
+        let config = RunConfig::new(StrategyId::HM);
         let factory = RngFactory::new(7);
         let plain = run_scenario(&scenario, &config, &RunCtx::new(&factory)).unwrap();
         let profiler = Profiler::enabled();
@@ -553,7 +553,7 @@ mod tests {
 
     #[test]
     fn makespan_covers_all_outcomes() {
-        let r = run(StrategyKind::OnDemandMixed, ScenarioKind::LowVariability);
+        let r = run(StrategyId::ODM, ScenarioKind::LowVariability);
         for o in &r.outcomes {
             assert!(o.finished <= r.makespan);
             assert!(o.started >= o.arrival);
@@ -563,7 +563,7 @@ mod tests {
 
     #[test]
     fn reserved_busy_never_exceeds_capacity() {
-        let r = run(StrategyKind::StaticReserved, ScenarioKind::Static);
+        let r = run(StrategyId::SR, ScenarioKind::Static);
         for &(_, v) in r.reserved_busy.points() {
             assert!(v >= -1e-9, "negative busy cores {v}");
             assert!(

@@ -43,7 +43,9 @@ use crate::result::{
     JobOutcome, PlacementDecision, PlacementReason, RunCounters, RunResult, UtilizationSample,
     WaitSample,
 };
-use crate::strategy::{PlacementCtx, ProvisioningStrategy, RetentionCtx, RetentionDecision};
+use crate::strategy::{
+    OnDemand, PlacementCtx, ProvisioningStrategy, RetentionCtx, RetentionDecision, StrategyCaps,
+};
 
 /// Discrete events driving the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -260,10 +262,11 @@ pub struct Scheduler<'a> {
     scenario: &'a Scenario,
     config: &'a RunConfig,
     /// The per-run strategy instance (see
-    /// [`ProvisioningStrategy::fresh_run`]). `Option` only so `&mut`
-    /// hooks can be called while the scheduler is borrowed: hook sites
-    /// `take()` the box, call in, and put it back before returning.
-    strategy: Option<Box<dyn ProvisioningStrategy>>,
+    /// [`ProvisioningStrategy::fresh_run`]). Hooks are called through
+    /// disjoint field borrows.
+    strategy: Box<dyn ProvisioningStrategy>,
+    /// The strategy's Table 3 row, copied once per run.
+    caps: StrategyCaps,
     cloud: Cloud,
     quasar: Option<QuasarEngine>,
     profiled_classes: Vec<AppClass>,
@@ -411,7 +414,8 @@ impl<'a> Scheduler<'a> {
         Scheduler {
             scenario,
             config,
-            strategy: Some(config.strategy.fresh_run()),
+            strategy: config.strategy.fresh_run(),
+            caps: config.strategy.caps(),
             cloud,
             quasar,
             profiled_classes: Vec::new(),
@@ -459,14 +463,6 @@ impl<'a> Scheduler<'a> {
     /// Reserved cores provisioned.
     pub fn reserved_cores(&self) -> u32 {
         self.reserved_total
-    }
-
-    /// The per-run strategy instance, for immutable hook queries
-    /// (flags). `&mut` hooks take/put the box instead.
-    fn strat(&self) -> &dyn ProvisioningStrategy {
-        self.strategy
-            .as_deref()
-            .expect("strategy present outside hook calls")
     }
 
     /// Jobs still running, queued, or held at the tenancy gate. Keeping
@@ -601,7 +597,7 @@ impl<'a> Scheduler<'a> {
     fn estimate(&mut self, spec: &JobSpec) -> JobEstimate {
         // Profiling on small shared instances (the only kind OdM holds)
         // yields noisier signals.
-        let noisy = self.strat().profiles_noisily();
+        let noisy = self.caps.noisy_profiling();
         match self.quasar.as_mut() {
             Some(engine) => {
                 if !self.profiled_classes.contains(&spec.class) {
@@ -803,7 +799,7 @@ impl<'a> Scheduler<'a> {
         // job, prefer the side where the data lives (if the policy's
         // choice disagrees and the job can run there).
         if let Some(data) = self.config.data {
-            if data.data_aware_placement && self.strat().is_hybrid() {
+            if data.data_aware_placement && self.caps.hybrid() {
                 let spec = &self.scenario.jobs()[idx];
                 let transfer = data.transfer_delay(spec.dataset_gb());
                 let heavy = transfer.as_secs_f64() > 0.25 * spec.ideal_duration().as_secs_f64();
@@ -836,7 +832,7 @@ impl<'a> Scheduler<'a> {
                 PlacementReason::DataLocality
             } else if spot {
                 PlacementReason::Spot
-            } else if self.strat().is_hybrid()
+            } else if self.caps.hybrid()
                 && self.config.policy == crate::mapping::MappingPolicy::Dynamic
             {
                 match placement {
@@ -864,7 +860,7 @@ impl<'a> Scheduler<'a> {
                 // The Q90-vs-QT comparison the dynamic policy makes: Q90 of
                 // the on-demand type this job would get, against the job's
                 // quality target. NaN (=> null) when no monitor is consulted.
-                let q90 = if self.strat().is_hybrid() {
+                let q90 = if self.caps.hybrid() {
                     let spec = &self.scenario.jobs()[idx];
                     self.monitor.q90(self.od_itype_for(est, spec.class))
                 } else {
@@ -918,7 +914,7 @@ impl<'a> Scheduler<'a> {
                 // Full-only strategies pool full servers; strategies
                 // that never buy on-demand (SR) fall back to the pool
                 // path too when QoS actions force an acquisition.
-                if self.strat().on_demand_full_only() || !self.strat().uses_on_demand() {
+                if self.caps.on_demand != OnDemand::AnySize {
                     self.place_od_pool(idx, est, now, wait, carry, events);
                 } else {
                     self.place_od_dedicated(idx, est, class, now, wait, carry, events);
@@ -948,7 +944,6 @@ impl<'a> Scheduler<'a> {
         } else {
             self.config.policy
         };
-        let mut strategy = self.strategy.take().expect("strategy present");
         let ctx = PlacementCtx {
             mapping: MappingContext {
                 reserved_utilization: self.reserved_utilization(),
@@ -969,15 +964,13 @@ impl<'a> Scheduler<'a> {
             policy,
             reserved_cores: self.reserved_total,
         };
-        let placement = strategy.place(&ctx, &mut self.mapping_rng);
-        self.strategy = Some(strategy);
-        placement
+        self.strategy.place(&ctx, &mut self.mapping_rng)
     }
 
     /// The on-demand instance type this job would be offered: a full
     /// server for full-only strategies, a per-job-sized instance otherwise.
     fn od_itype_for(&self, est: &JobEstimate, class: AppClass) -> InstanceType {
-        if self.strat().on_demand_full_only() {
+        if self.caps.on_demand == OnDemand::FullServers {
             InstanceType::full_server()
         } else {
             self.dedicated_itype(est, class)
@@ -1238,7 +1231,7 @@ impl<'a> Scheduler<'a> {
         // paid for whether used or not, and deliver full-server quality;
         // fill them first. OdM has no such pool — the paper's OdM
         // requests the smallest instance per job.
-        if self.strat().is_hybrid() {
+        if self.caps.hybrid() {
             let query = PlacementQuery {
                 family: Family::Standard,
                 min_cores: est.cores,
@@ -1500,7 +1493,7 @@ impl<'a> Scheduler<'a> {
     fn spot_eligible(&self, spec: &JobSpec, est: &JobEstimate) -> bool {
         match self.config.spot {
             Some(policy) => {
-                self.strat().is_hybrid()
+                self.caps.hybrid()
                     && self.config.profiling
                     && !spec.class.is_latency_metric()
                     && !spec.class.is_sensitive()
@@ -1916,7 +1909,7 @@ impl<'a> Scheduler<'a> {
     /// far beyond the expected spin-up, reroute to a large on-demand
     /// instance.
     fn relieve_starving_queue(&mut self, now: SimTime, events: &mut impl EventSink<Event>) {
-        if !self.strat().is_hybrid() {
+        if !self.caps.hybrid() {
             return;
         }
         let spinup = self
@@ -2219,7 +2212,7 @@ impl<'a> Scheduler<'a> {
             )
         };
         let quality = self.cloud.delivered_quality(cloud_id, now);
-        let decision = self.strat().retention(&RetentionCtx {
+        let decision = self.strategy.retention(&RetentionCtx {
             spin_up,
             delivered_quality: quality,
             profiling: self.config.profiling,
@@ -2326,9 +2319,7 @@ impl<'a> Scheduler<'a> {
                 now,
                 TraceKind::FaultMonitorDropout { active: dropped }
             );
-            if self.config.policy == crate::mapping::MappingPolicy::Dynamic
-                && self.strat().is_hybrid()
-            {
+            if self.config.policy == crate::mapping::MappingPolicy::Dynamic && self.caps.hybrid() {
                 if dropped {
                     self.counters.policy_fallbacks += 1;
                 }
@@ -2374,9 +2365,8 @@ impl<'a> Scheduler<'a> {
         // 3. Feedback loops, starting with the strategy's soft-limit
         // adaptation hook (the paper's linear transfer functions by
         // default).
-        let mut strategy = self.strategy.take().expect("strategy present");
-        strategy.adapt_limits(&mut self.limits, self.queue.len(), now);
-        self.strategy = Some(strategy);
+        self.strategy
+            .adapt_limits(&mut self.limits, self.queue.len(), now);
         self.relieve_starving_queue(now, events);
         self.consolidate_od_pool(now, events)?;
 
@@ -2412,7 +2402,7 @@ impl<'a> Scheduler<'a> {
         now: SimTime,
         events: &mut impl EventSink<Event>,
     ) -> Result<(), AuditViolation> {
-        if !self.strat().is_hybrid() || !self.config.profiling {
+        if !self.caps.hybrid() || !self.config.profiling {
             return Ok(());
         }
         // The on-demand pool index (spot included, matching the old
@@ -2682,7 +2672,7 @@ impl<'a> Scheduler<'a> {
 mod tests {
     use super::*;
     use crate::config::SpotPolicy;
-    use crate::strategy::StrategyKind;
+    use crate::strategy::StrategyId;
     use hcloud_sim::event::EventQueue;
     use hcloud_tenancy::{TenancyPlan, TenantSpec};
     use hcloud_workloads::{ScenarioConfig, ScenarioKind};
@@ -2756,7 +2746,7 @@ mod tests {
     fn estimate_without_profiling_uses_user_sizing() {
         let jobs = vec![job(0, AppClass::HadoopSvm, 8, 300)];
         let scenario = scenario_of(jobs);
-        let config = RunConfig::new(StrategyKind::StaticReserved).without_profiling();
+        let config = RunConfig::new(StrategyId::SR).without_profiling();
         let (mut sched, _) = scheduler(&scenario, &config);
         let est = sched.estimate(&scenario.jobs()[0]);
         assert_eq!(est.cores, scenario.jobs()[0].user_sized_cores());
@@ -2773,7 +2763,7 @@ mod tests {
             job(2, AppClass::SparkBatch, 4, 300),
         ];
         let scenario = scenario_of(jobs);
-        let config = RunConfig::new(StrategyKind::HybridMixed);
+        let config = RunConfig::new(StrategyId::HM);
         let (mut sched, _) = scheduler(&scenario, &config);
         for spec in scenario.jobs() {
             let _ = sched.estimate(spec);
@@ -2785,7 +2775,7 @@ mod tests {
     #[test]
     fn dedicated_itype_matches_dominant_sensitivity() {
         let scenario = scenario_of(vec![job(0, AppClass::SparkBatch, 4, 300)]);
-        let config = RunConfig::new(StrategyKind::OnDemandMixed);
+        let config = RunConfig::new(StrategyId::ODM);
         let (sched, _) = scheduler(&scenario, &config);
         // Memory-dominant estimate → memory-optimized family.
         let mem = JobEstimate {
@@ -2825,7 +2815,7 @@ mod tests {
             job(1, AppClass::SparkBatch, 8, 600),
         ];
         let scenario = scenario_of(jobs);
-        let mut config = RunConfig::new(StrategyKind::StaticReserved);
+        let mut config = RunConfig::new(StrategyId::SR);
         config.reserved_cores_override = Some(16);
         config.internal_pressure_scale = 1.0;
         let run_pressure = |config: &RunConfig| {
@@ -2857,7 +2847,7 @@ mod tests {
             job(1, AppClass::HadoopSvm, 8, 3600),
         ];
         let scenario = scenario_of(jobs);
-        let mut config = RunConfig::new(StrategyKind::HybridMixed);
+        let mut config = RunConfig::new(StrategyId::HM);
         config.reserved_cores_override = Some(16);
         let (mut sched, mut events) = scheduler(&scenario, &config);
         // Force both jobs onto separate od pool instances.
@@ -2901,7 +2891,7 @@ mod tests {
             job(2, AppClass::SparkRealtime, 1, 5), // sensitive batch
         ];
         let scenario = scenario_of(jobs);
-        let mut config = RunConfig::new(StrategyKind::HybridMixed);
+        let mut config = RunConfig::new(StrategyId::HM);
         config.spot = Some(SpotPolicy {
             bid_multiplier: 0.6,
             max_quality: 0.99,
@@ -2921,7 +2911,7 @@ mod tests {
             "sensitive batch never rides spot"
         );
         // OdM (non-hybrid) never uses spot even for tolerant jobs.
-        let mut odm = RunConfig::new(StrategyKind::OnDemandMixed);
+        let mut odm = RunConfig::new(StrategyId::ODM);
         odm.spot = config.spot;
         let (mut sched, _) = scheduler(&scenario, &odm);
         let e0 = sched.estimate(&scenario.jobs()[0]);
@@ -2940,7 +2930,7 @@ mod tests {
             job(2, AppClass::Memcached, 2, 600),
         ];
         let scenario = scenario_of(jobs);
-        let mut config = RunConfig::new(StrategyKind::StaticReserved);
+        let mut config = RunConfig::new(StrategyId::SR);
         config.reserved_cores_override = Some(16);
         let (mut sched, mut events) = scheduler(&scenario, &config);
         sched
@@ -2967,7 +2957,7 @@ mod tests {
     #[test]
     fn foreign_job_id_fails_typed() {
         let scenario = scenario_of(vec![job(0, AppClass::HadoopSvm, 2, 100)]);
-        let config = RunConfig::new(StrategyKind::StaticReserved);
+        let config = RunConfig::new(StrategyId::SR);
         let (mut sched, mut events) = scheduler(&scenario, &config);
         let err = sched
             .on_arrival(JobId(999), SimTime::ZERO, &mut events)
@@ -2989,7 +2979,7 @@ mod tests {
             job(1, AppClass::HadoopSvm, 2, 100),
         ];
         let scenario = scenario_of(jobs);
-        let config = RunConfig::new(StrategyKind::OnDemandMixed);
+        let config = RunConfig::new(StrategyId::ODM);
         let (mut sched, mut events) = scheduler(&scenario, &config);
         sched
             .on_arrival(JobId(0), SimTime::ZERO, &mut events)
@@ -3011,7 +3001,7 @@ mod tests {
     #[test]
     fn released_instance_handles_turn_stale() {
         let scenario = scenario_of(vec![job(0, AppClass::HadoopSvm, 2, 100)]);
-        let config = RunConfig::new(StrategyKind::OnDemandMixed);
+        let config = RunConfig::new(StrategyId::ODM);
         let (mut sched, _) = scheduler(&scenario, &config);
         let h = sched.acquire(InstanceType::standard(2), SimTime::ZERO);
         assert!(sched.live_od.contains(&h));
@@ -3028,7 +3018,7 @@ mod tests {
     #[test]
     fn idle_index_tracks_retained_instances() {
         let scenario = scenario_of(vec![job(0, AppClass::HadoopSvm, 2, 100)]);
-        let config = RunConfig::new(StrategyKind::OnDemandMixed).without_profiling();
+        let config = RunConfig::new(StrategyId::ODM).without_profiling();
         let (mut sched, mut events) = scheduler(&scenario, &config);
         let h = sched.acquire(InstanceType::standard(2), SimTime::ZERO);
         assert!(sched.idle_buckets.is_empty());
@@ -3086,7 +3076,7 @@ mod tests {
 
             const SIZES: [u32; 4] = [2, 4, 8, 16];
             let scenario = scenario_of(vec![job(0, AppClass::HadoopSvm, 2, 100)]);
-            let config = RunConfig::new(StrategyKind::OnDemandMixed).without_profiling();
+            let config = RunConfig::new(StrategyId::ODM).without_profiling();
             let (mut sched, mut events) = scheduler(&scenario, &config);
             // Reference model mirroring the instance lifecycle: fresh
             // acquisitions are empty but unretained, `handle_idle_od`
@@ -3183,7 +3173,7 @@ mod tests {
     #[test]
     fn double_detach_is_a_typed_accounting_error() {
         let scenario = scenario_of(vec![job(0, AppClass::HadoopSvm, 2, 100)]);
-        let config = RunConfig::new(StrategyKind::OnDemandMixed);
+        let config = RunConfig::new(StrategyId::ODM);
         let (mut sched, _) = scheduler(&scenario, &config);
         let h = sched.acquire(InstanceType::standard(4), SimTime::ZERO);
         let key = fake_slot(&mut sched, h, 2, SimTime::ZERO);
@@ -3223,7 +3213,7 @@ mod tests {
             job(1, AppClass::HadoopSvm, 2, 10_000),
         ];
         let scenario = scenario_of(jobs);
-        let mut config = RunConfig::new(StrategyKind::HybridFull);
+        let mut config = RunConfig::new(StrategyId::HF);
         config.reserved_cores_override = Some(16);
         // Always prefer reserved, so job 1 queues whenever job 0 holds
         // the whole reserved pool.
@@ -3301,7 +3291,7 @@ mod tests {
     #[test]
     fn tenancy_gate_defers_and_finish_drains() {
         let scenario = tenanted_pair();
-        let mut config = RunConfig::new(StrategyKind::StaticReserved).without_profiling();
+        let mut config = RunConfig::new(StrategyId::SR).without_profiling();
         config.reserved_cores_override = Some(32);
         let (mut sched, mut events) = scheduler(&scenario, &config);
         sched
@@ -3358,7 +3348,7 @@ mod tests {
     #[test]
     fn tenancy_starved_guarantee_reclaims_via_preemption() {
         let scenario = borrowed_pool_pair();
-        let mut config = RunConfig::new(StrategyKind::StaticReserved).without_profiling();
+        let mut config = RunConfig::new(StrategyId::SR).without_profiling();
         config.reserved_cores_override = Some(32);
         let (mut sched, mut events) = scheduler(&scenario, &config);
 
@@ -3469,7 +3459,7 @@ mod tests {
     #[test]
     fn quiet_ticks_serve_the_co_runner_memo() {
         let scenario = spark_pair();
-        let mut config = RunConfig::new(StrategyKind::StaticReserved);
+        let mut config = RunConfig::new(StrategyId::SR);
         let (mut sched, mut events) = reserved_pair(&scenario, &mut config);
         sched.on_start(JobId(0), SimTime::ZERO, &mut events);
         sched.on_start(JobId(1), SimTime::ZERO, &mut events);
@@ -3489,7 +3479,7 @@ mod tests {
     #[test]
     fn starting_a_co_runner_invalidates_the_memo() {
         let scenario = spark_pair();
-        let mut config = RunConfig::new(StrategyKind::StaticReserved);
+        let mut config = RunConfig::new(StrategyId::SR);
         let (mut sched, mut events) = reserved_pair(&scenario, &mut config);
         sched.on_start(JobId(0), SimTime::ZERO, &mut events);
         prime_co_memos(&mut sched);
@@ -3507,7 +3497,7 @@ mod tests {
     #[test]
     fn finishing_a_co_runner_invalidates_the_memo_and_drops_its_own() {
         let scenario = spark_pair();
-        let mut config = RunConfig::new(StrategyKind::StaticReserved);
+        let mut config = RunConfig::new(StrategyId::SR);
         let (mut sched, mut events) = reserved_pair(&scenario, &mut config);
         sched.on_start(JobId(0), SimTime::ZERO, &mut events);
         sched.on_start(JobId(1), SimTime::ZERO, &mut events);
@@ -3533,7 +3523,7 @@ mod tests {
             job(0, AppClass::SparkBatch, 4, 600),
             job(1, AppClass::Memcached, 8, 600),
         ]);
-        let mut config = RunConfig::new(StrategyKind::HybridMixed);
+        let mut config = RunConfig::new(StrategyId::HM);
         config.reserved_cores_override = Some(16);
         let (mut sched, mut events) = scheduler(&scenario, &config);
         let h = sched.reserved_handles[0];
@@ -3572,7 +3562,7 @@ mod tests {
             job(0, AppClass::HadoopSvm, 2, 3600),
             job(1, AppClass::HadoopSvm, 8, 3600),
         ]);
-        let mut config = RunConfig::new(StrategyKind::HybridMixed);
+        let mut config = RunConfig::new(StrategyId::HM);
         config.reserved_cores_override = Some(16);
         let (mut sched, mut events) = scheduler(&scenario, &config);
         let e0 = sched.estimate(&scenario.jobs()[0]);
@@ -3606,7 +3596,7 @@ mod tests {
             job(0, AppClass::HadoopSvm, 4, 3600),
             job(1, AppClass::Memcached, 4, 3600),
         ]);
-        let mut config = RunConfig::new(StrategyKind::HybridMixed);
+        let mut config = RunConfig::new(StrategyId::HM);
         config.reserved_cores_override = Some(16);
         let (mut sched, mut events) = scheduler(&scenario, &config);
         let h = sched.acquire(InstanceType::full_server(), SimTime::ZERO);
@@ -3642,7 +3632,7 @@ mod tests {
             job(1, AppClass::HadoopSvm, 4, 3600),
             job(2, AppClass::HadoopSvm, 4, 3600),
         ]);
-        let mut config = RunConfig::new(StrategyKind::HybridMixed);
+        let mut config = RunConfig::new(StrategyId::HM);
         config.reserved_cores_override = Some(16);
         let (mut sched, mut events) = scheduler(&scenario, &config);
         let reserved = sched.reserved_handles[0];
@@ -3678,7 +3668,7 @@ mod tests {
     #[test]
     fn tenancy_preemption_drops_the_victims_memo() {
         let scenario = borrowed_pool_pair();
-        let mut config = RunConfig::new(StrategyKind::StaticReserved).without_profiling();
+        let mut config = RunConfig::new(StrategyId::SR).without_profiling();
         config.reserved_cores_override = Some(32);
         let (mut sched, mut events) = scheduler(&scenario, &config);
         sched

@@ -2,12 +2,14 @@
 //!
 //! The paper's five strategies (Tables 1 and 3) are implementations of
 //! the [`ProvisioningStrategy`] trait, registered under stable string
-//! ids in a [`StrategyRegistry`]. Everything the scheduler used to
-//! decide by matching on a closed enum — reserved sizing, on-demand
-//! acquisition and shape, idle-instance retention, soft-limit
-//! adaptation — is a trait hook, so strategies beyond the paper's five
-//! plug in without touching the scheduler. [`StrategyKind`] survives as
-//! a thin compatibility shim over the registry for one release.
+//! ids in a [`StrategyRegistry`]. Everything the scheduler decides per
+//! strategy — reserved sizing, on-demand acquisition and shape,
+//! idle-instance retention, soft-limit adaptation — is a trait hook, so
+//! strategies beyond the paper's five plug in without touching the
+//! scheduler. Each strategy describes itself by one [`StrategyCaps`]
+//! value, its Table 3 row; the hook defaults are keyed on it, so the
+//! paper's five are data rows with no code of their own. Code that
+//! names a builtin uses the [`StrategyId`] consts.
 //!
 //! | | SR | OdF | OdM | HF | HM | RA | QC |
 //! |---|---|---|---|---|---|---|---|
@@ -39,85 +41,50 @@ use hcloud_sim::{SimDuration, SimTime};
 use crate::dynamic::DynamicLimits;
 use crate::mapping::{MappingContext, MappingPolicy, Placement};
 
-/// The paper's five strategies, kept as a compatibility shim: each
-/// variant maps onto the builtin registry entry with the same id, and
-/// converts into a [`StrategyRef`] wherever one is expected.
+// ----------------------------------------------------------------------
+// Capabilities: the Table 3 row
+// ----------------------------------------------------------------------
+
+/// Which on-demand resources a strategy buys (Table 3 row 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StrategyKind {
-    /// Statically reserved: provision reserved full servers for peak load
-    /// (plus overprovisioning) upfront; never acquire on-demand.
-    StaticReserved,
-    /// Fully on-demand, full servers only (OdF).
-    OnDemandFull,
-    /// Fully on-demand, mixed instance sizes (OdM).
-    OnDemandMixed,
-    /// Hybrid: reserved for the steady-state minimum, on-demand full
-    /// servers for overflow (HF).
-    HybridFull,
-    /// Hybrid: reserved for the steady-state minimum, mixed-size
-    /// on-demand for overflow (HM).
-    HybridMixed,
+pub enum OnDemand {
+    /// Never acquires on-demand resources.
+    None,
+    /// On-demand full servers only.
+    FullServers,
+    /// On-demand instances of any size.
+    AnySize,
 }
 
-impl StrategyKind {
-    /// All five strategies, in the paper's presentation order.
-    pub const ALL: [StrategyKind; 5] = [
-        StrategyKind::StaticReserved,
-        StrategyKind::OnDemandFull,
-        StrategyKind::OnDemandMixed,
-        StrategyKind::HybridFull,
-        StrategyKind::HybridMixed,
-    ];
-
-    /// The stable registry id.
-    pub fn id(self) -> &'static str {
-        match self {
-            StrategyKind::StaticReserved => "static-reserved",
-            StrategyKind::OnDemandFull => "on-demand-full",
-            StrategyKind::OnDemandMixed => "on-demand-mixed",
-            StrategyKind::HybridFull => "hybrid-full",
-            StrategyKind::HybridMixed => "hybrid-mixed",
-        }
-    }
-
-    /// Short name as used in the paper's figures.
-    pub fn short_name(self) -> &'static str {
-        match self {
-            StrategyKind::StaticReserved => "SR",
-            StrategyKind::OnDemandFull => "OdF",
-            StrategyKind::OnDemandMixed => "OdM",
-            StrategyKind::HybridFull => "HF",
-            StrategyKind::HybridMixed => "HM",
-        }
-    }
-
+/// A strategy's Table 3 row: whether it provisions reserved resources
+/// and which on-demand resources it buys. Every other strategy-level
+/// fact the scheduler consults is derived from these two.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StrategyCaps {
     /// Whether the strategy provisions reserved resources (Table 3 row 1).
-    pub fn uses_reserved(self) -> bool {
-        matches!(
-            self,
-            StrategyKind::StaticReserved | StrategyKind::HybridFull | StrategyKind::HybridMixed
-        )
-    }
-
-    /// Whether the strategy acquires on-demand resources (Table 3 row 2).
-    pub fn uses_on_demand(self) -> bool {
-        !matches!(self, StrategyKind::StaticReserved)
-    }
-
-    /// Whether on-demand acquisitions are restricted to full servers.
-    pub fn on_demand_full_only(self) -> bool {
-        matches!(self, StrategyKind::OnDemandFull | StrategyKind::HybridFull)
-    }
-
-    /// Whether this is one of the two hybrid strategies.
-    pub fn is_hybrid(self) -> bool {
-        matches!(self, StrategyKind::HybridFull | StrategyKind::HybridMixed)
-    }
+    pub reserved: bool,
+    /// Which on-demand resources it acquires (Table 3 row 2).
+    pub on_demand: OnDemand,
 }
 
-impl fmt::Display for StrategyKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.short_name())
+impl StrategyCaps {
+    /// Reserved resources only, never on-demand (SR).
+    pub fn reserved_only(self) -> bool {
+        self.reserved && self.on_demand == OnDemand::None
+    }
+
+    /// Whether the strategy manages a reserved/on-demand mix (pool
+    /// consolidation, starvation relief, spot, data-aware placement —
+    /// the hybrid machinery of Sections 3.2–3.3).
+    pub fn hybrid(self) -> bool {
+        self.reserved && self.on_demand != OnDemand::None
+    }
+
+    /// Whether profiling runs in a noisy environment: small shared
+    /// instances, the only kind a strategy without reserved servers
+    /// that buys any-size on-demand holds (OdM; Section 3.3).
+    pub fn noisy_profiling(self) -> bool {
+        !self.reserved && self.on_demand == OnDemand::AnySize
     }
 }
 
@@ -144,7 +111,7 @@ pub struct ReservedSizingCtx {
 }
 
 /// Inputs to [`ProvisioningStrategy::place`]: the mapping-policy context
-/// plus the strategy-level facts the old enum branches consulted.
+/// plus the strategy-level facts a placement may consult.
 #[derive(Debug)]
 pub struct PlacementCtx<'a> {
     /// Everything a mapping decision may consult.
@@ -190,13 +157,13 @@ pub enum RetentionDecision {
 /// A provisioning strategy: every decision hook the scheduler consults.
 ///
 /// One boxed instance is created per run via [`fresh_run`]
-/// (strategies may carry run-local adaptive state); the flag methods
-/// (`uses_reserved` & co.) must be pure and stable for the strategy's
-/// lifetime. Implementations must not consume randomness beyond the
-/// `rng` handed to [`place`] — determinism across worker counts depends
-/// on it.
+/// (strategies may carry run-local adaptive state); [`caps`] must be
+/// pure and stable for the strategy's lifetime. Implementations must
+/// not consume randomness beyond the `rng` handed to [`place`] —
+/// determinism across worker counts depends on it.
 ///
 /// [`fresh_run`]: ProvisioningStrategy::fresh_run
+/// [`caps`]: ProvisioningStrategy::caps
 /// [`place`]: ProvisioningStrategy::place
 pub trait ProvisioningStrategy: fmt::Debug + Send + Sync {
     /// Stable registry id (kebab-case, e.g. `"hybrid-mixed"`).
@@ -205,30 +172,23 @@ pub trait ProvisioningStrategy: fmt::Debug + Send + Sync {
     /// Short display name (e.g. `"HM"`), used in figure labels.
     fn short_name(&self) -> &'static str;
 
-    /// Whether the strategy provisions reserved resources (Table 3 row 1).
-    fn uses_reserved(&self) -> bool;
+    /// The strategy's Table 3 row.
+    fn caps(&self) -> StrategyCaps;
 
-    /// Whether the strategy acquires on-demand resources (Table 3 row 2).
-    fn uses_on_demand(&self) -> bool;
-
-    /// Whether on-demand acquisitions are restricted to full servers.
-    fn on_demand_full_only(&self) -> bool;
-
-    /// Whether the strategy actively manages a reserved/on-demand mix
-    /// (pool consolidation, starvation relief, spot, data-aware
-    /// placement — the hybrid machinery of Sections 3.2–3.3).
-    fn is_hybrid(&self) -> bool;
-
-    /// Whether profiling runs in a noisy environment (OdM's small shared
-    /// instances; Section 3.3).
-    fn profiles_noisily(&self) -> bool {
-        false
-    }
-
-    /// Reserved cores to provision. Default: the steady-state minimum
-    /// for reserved-using strategies (Section 4.1), zero otherwise.
+    /// Reserved cores to provision. Default: peak × (1 +
+    /// overprovisioning) for reserved-only strategies, the margin
+    /// widening without profiling info (Sections 3.1, 3.3); the
+    /// steady-state minimum for hybrids (Section 4.1); zero otherwise.
     fn reserved_cores(&self, ctx: &ReservedSizingCtx) -> u32 {
-        if self.uses_reserved() {
+        let caps = self.caps();
+        if caps.reserved_only() {
+            let over = if ctx.profiling {
+                ctx.overprovision
+            } else {
+                ctx.overprovision_unprofiled
+            };
+            (ctx.peak_cores * (1.0 + over)).ceil() as u32
+        } else if caps.hybrid() {
             ctx.min_cores.ceil() as u32
         } else {
             0
@@ -237,8 +197,19 @@ pub trait ProvisioningStrategy: fmt::Debug + Send + Sync {
 
     /// Where to send an arriving job. `rng` is the shared mapping
     /// stream; draw from it only when the decision is genuinely random
-    /// (today only [`MappingPolicy::Random`] does).
-    fn place(&mut self, ctx: &PlacementCtx<'_>, rng: &mut SimRng) -> Placement;
+    /// (today only [`MappingPolicy::Random`] does). Default: reserved
+    /// for reserved-only strategies, on-demand for strategies without
+    /// reserved resources, the configured mapping policy for hybrids.
+    fn place(&mut self, ctx: &PlacementCtx<'_>, rng: &mut SimRng) -> Placement {
+        let caps = self.caps();
+        if caps.reserved_only() {
+            Placement::Reserved
+        } else if !caps.reserved {
+            Placement::OnDemand
+        } else {
+            ctx.policy.decide(&ctx.mapping, rng)
+        }
+    }
 
     /// Per-tick feedback on the reserved queue. Default: the paper's
     /// linear transfer functions on the soft limit (Figure 9 left).
@@ -298,29 +269,9 @@ impl StrategyRef {
         self.0.short_name()
     }
 
-    /// See [`ProvisioningStrategy::uses_reserved`].
-    pub fn uses_reserved(&self) -> bool {
-        self.0.uses_reserved()
-    }
-
-    /// See [`ProvisioningStrategy::uses_on_demand`].
-    pub fn uses_on_demand(&self) -> bool {
-        self.0.uses_on_demand()
-    }
-
-    /// See [`ProvisioningStrategy::on_demand_full_only`].
-    pub fn on_demand_full_only(&self) -> bool {
-        self.0.on_demand_full_only()
-    }
-
-    /// See [`ProvisioningStrategy::is_hybrid`].
-    pub fn is_hybrid(&self) -> bool {
-        self.0.is_hybrid()
-    }
-
-    /// See [`ProvisioningStrategy::profiles_noisily`].
-    pub fn profiles_noisily(&self) -> bool {
-        self.0.profiles_noisily()
+    /// See [`ProvisioningStrategy::caps`].
+    pub fn caps(&self) -> StrategyCaps {
+        self.0.caps()
     }
 
     /// See [`ProvisioningStrategy::reserved_cores`].
@@ -331,15 +282,6 @@ impl StrategyRef {
     /// See [`ProvisioningStrategy::fresh_run`].
     pub fn fresh_run(&self) -> Box<dyn ProvisioningStrategy> {
         self.0.fresh_run()
-    }
-
-    /// The [`StrategyKind`] this strategy shims for, when it is one of
-    /// the paper's five.
-    pub fn kind(&self) -> Option<StrategyKind> {
-        StrategyKind::ALL
-            .iter()
-            .copied()
-            .find(|k| k.id() == self.id())
     }
 }
 
@@ -369,21 +311,9 @@ impl std::hash::Hash for StrategyRef {
     }
 }
 
-impl PartialEq<StrategyKind> for StrategyRef {
-    fn eq(&self, other: &StrategyKind) -> bool {
-        self.id() == other.id()
-    }
-}
-
-impl PartialEq<StrategyRef> for StrategyKind {
-    fn eq(&self, other: &StrategyRef) -> bool {
-        self.id() == other.id()
-    }
-}
-
-impl From<StrategyKind> for StrategyRef {
-    fn from(kind: StrategyKind) -> StrategyRef {
-        StrategyRef::new(PaperStrategy(kind))
+impl From<StrategyId> for StrategyRef {
+    fn from(id: StrategyId) -> StrategyRef {
+        id.resolve()
     }
 }
 
@@ -434,15 +364,48 @@ impl FromStr for StrategyRef {
 }
 
 /// A `Copy` handle onto a builtin strategy: the interned registry id.
-/// Exists so `Copy` carriers (the env/experiment contexts) can name a
-/// strategy without holding a [`StrategyRef`].
+/// Code that names a builtin uses the consts (`StrategyId::HM`), so a
+/// typo is a compile error; `Copy` carriers (the env/experiment
+/// contexts) hold one instead of a [`StrategyRef`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StrategyId(&'static str);
 
 impl StrategyId {
+    /// Statically reserved: reserved full servers for peak load (plus
+    /// overprovisioning), never on-demand.
+    pub const SR: StrategyId = StrategyId("static-reserved");
+    /// Fully on-demand, full servers only.
+    pub const ODF: StrategyId = StrategyId("on-demand-full");
+    /// Fully on-demand, mixed instance sizes.
+    pub const ODM: StrategyId = StrategyId("on-demand-mixed");
+    /// Hybrid: reserved for the steady-state minimum, on-demand full
+    /// servers for overflow.
+    pub const HF: StrategyId = StrategyId("hybrid-full");
+    /// Hybrid: reserved for the steady-state minimum, mixed-size
+    /// on-demand for overflow.
+    pub const HM: StrategyId = StrategyId("hybrid-mixed");
+    /// Blocking-threshold reservation scaling ([`ReservationAutoscale`]).
+    pub const RA: StrategyId = StrategyId("reservation-autoscale");
+    /// M\[x\]/G/s capacity planning ([`QueueingCapacity`]).
+    pub const QC: StrategyId = StrategyId("queueing-capacity");
+
+    /// The paper's five strategies, in its presentation order.
+    pub const PAPER: [StrategyId; 5] = [
+        StrategyId::SR,
+        StrategyId::ODF,
+        StrategyId::ODM,
+        StrategyId::HF,
+        StrategyId::HM,
+    ];
+
     /// The interned id string.
     pub fn as_str(self) -> &'static str {
         self.0
+    }
+
+    /// Short display name (e.g. `"HM"`).
+    pub fn short_name(self) -> &'static str {
+        self.resolve().short_name()
     }
 
     /// The full strategy handle from the builtin registry.
@@ -491,8 +454,8 @@ impl StrategyRegistry {
     /// A registry holding every builtin strategy.
     pub fn with_builtins() -> StrategyRegistry {
         let mut r = StrategyRegistry::empty();
-        for kind in StrategyKind::ALL {
-            r.register(StrategyRef::new(PaperStrategy(kind)));
+        for row in PAPER_STRATEGIES {
+            r.register(StrategyRef::new(row));
         }
         r.register(StrategyRef::new(ReservationAutoscale::default()));
         r.register(StrategyRef::new(QueueingCapacity::default()));
@@ -539,67 +502,53 @@ impl StrategyRegistry {
 // The paper's five strategies
 // ----------------------------------------------------------------------
 
-/// One of the paper's five strategies, on the trait (Tables 1 and 3).
+/// One of the paper's five strategies: a Table 3 row. Every hook is the
+/// trait default keyed on `caps`.
 #[derive(Debug, Clone, Copy)]
-struct PaperStrategy(StrategyKind);
+struct PaperStrategy {
+    id: StrategyId,
+    short_name: &'static str,
+    caps: StrategyCaps,
+}
+
+impl PaperStrategy {
+    const fn row(
+        id: StrategyId,
+        short_name: &'static str,
+        reserved: bool,
+        on_demand: OnDemand,
+    ) -> Self {
+        PaperStrategy {
+            id,
+            short_name,
+            caps: StrategyCaps {
+                reserved,
+                on_demand,
+            },
+        }
+    }
+}
+
+/// Tables 1 and 3, in the paper's presentation order.
+const PAPER_STRATEGIES: [PaperStrategy; 5] = [
+    PaperStrategy::row(StrategyId::SR, "SR", true, OnDemand::None),
+    PaperStrategy::row(StrategyId::ODF, "OdF", false, OnDemand::FullServers),
+    PaperStrategy::row(StrategyId::ODM, "OdM", false, OnDemand::AnySize),
+    PaperStrategy::row(StrategyId::HF, "HF", true, OnDemand::FullServers),
+    PaperStrategy::row(StrategyId::HM, "HM", true, OnDemand::AnySize),
+];
 
 impl ProvisioningStrategy for PaperStrategy {
     fn id(&self) -> &'static str {
-        self.0.id()
+        self.id.as_str()
     }
 
     fn short_name(&self) -> &'static str {
-        self.0.short_name()
+        self.short_name
     }
 
-    fn uses_reserved(&self) -> bool {
-        self.0.uses_reserved()
-    }
-
-    fn uses_on_demand(&self) -> bool {
-        self.0.uses_on_demand()
-    }
-
-    fn on_demand_full_only(&self) -> bool {
-        self.0.on_demand_full_only()
-    }
-
-    fn is_hybrid(&self) -> bool {
-        self.0.is_hybrid()
-    }
-
-    fn profiles_noisily(&self) -> bool {
-        // Profiling on small shared instances (the only kind OdM holds)
-        // yields noisier signals (Section 3.3).
-        self.0 == StrategyKind::OnDemandMixed
-    }
-
-    fn reserved_cores(&self, ctx: &ReservedSizingCtx) -> u32 {
-        match self.0 {
-            // SR: peak × (1 + overprovisioning), the margin widening
-            // without profiling info (Sections 3.1, 3.3).
-            StrategyKind::StaticReserved => {
-                let over = if ctx.profiling {
-                    ctx.overprovision
-                } else {
-                    ctx.overprovision_unprofiled
-                };
-                (ctx.peak_cores * (1.0 + over)).ceil() as u32
-            }
-            // Hybrids: the steady-state minimum (Section 4.1).
-            StrategyKind::HybridFull | StrategyKind::HybridMixed => ctx.min_cores.ceil() as u32,
-            StrategyKind::OnDemandFull | StrategyKind::OnDemandMixed => 0,
-        }
-    }
-
-    fn place(&mut self, ctx: &PlacementCtx<'_>, rng: &mut SimRng) -> Placement {
-        match self.0 {
-            StrategyKind::StaticReserved => Placement::Reserved,
-            StrategyKind::OnDemandFull | StrategyKind::OnDemandMixed => Placement::OnDemand,
-            StrategyKind::HybridFull | StrategyKind::HybridMixed => {
-                ctx.policy.decide(&ctx.mapping, rng)
-            }
-        }
+    fn caps(&self) -> StrategyCaps {
+        self.caps
     }
 
     fn fresh_run(&self) -> Box<dyn ProvisioningStrategy> {
@@ -629,7 +578,7 @@ impl ProvisioningStrategy for PaperStrategy {
 ///
 /// The asymmetry (fast multiplicative cut, slow additive recovery) is
 /// the hysteresis that keeps the controller from oscillating. Placement
-/// itself delegates to the configured mapping policy, like HM.
+/// itself is the default hybrid rule: the configured mapping policy, like HM.
 #[derive(Debug, Clone, Default)]
 pub struct ReservationAutoscale {
     /// Consecutive ticks with the queue at or above the threshold.
@@ -651,33 +600,23 @@ impl ReservationAutoscale {
     const DWELL_SECS: u64 = 60;
 }
 
+/// RA and QC share HM's Table 3 row: reserved plus any-size on-demand.
+const MIXED_HYBRID: StrategyCaps = StrategyCaps {
+    reserved: true,
+    on_demand: OnDemand::AnySize,
+};
+
 impl ProvisioningStrategy for ReservationAutoscale {
     fn id(&self) -> &'static str {
-        "reservation-autoscale"
+        StrategyId::RA.as_str()
     }
 
     fn short_name(&self) -> &'static str {
         "RA"
     }
 
-    fn uses_reserved(&self) -> bool {
-        true
-    }
-
-    fn uses_on_demand(&self) -> bool {
-        true
-    }
-
-    fn on_demand_full_only(&self) -> bool {
-        false
-    }
-
-    fn is_hybrid(&self) -> bool {
-        true
-    }
-
-    fn place(&mut self, ctx: &PlacementCtx<'_>, rng: &mut SimRng) -> Placement {
-        ctx.policy.decide(&ctx.mapping, rng)
+    fn caps(&self) -> StrategyCaps {
+        MIXED_HYBRID
     }
 
     fn adapt_limits(&mut self, limits: &mut DynamicLimits, queue_len: usize, now: SimTime) {
@@ -766,27 +705,15 @@ impl Default for QueueingCapacity {
 
 impl ProvisioningStrategy for QueueingCapacity {
     fn id(&self) -> &'static str {
-        "queueing-capacity"
+        StrategyId::QC.as_str()
     }
 
     fn short_name(&self) -> &'static str {
         "QC"
     }
 
-    fn uses_reserved(&self) -> bool {
-        true
-    }
-
-    fn uses_on_demand(&self) -> bool {
-        true
-    }
-
-    fn on_demand_full_only(&self) -> bool {
-        false
-    }
-
-    fn is_hybrid(&self) -> bool {
-        true
+    fn caps(&self) -> StrategyCaps {
+        MIXED_HYBRID
     }
 
     fn place(&mut self, ctx: &PlacementCtx<'_>, rng: &mut SimRng) -> Placement {
@@ -814,54 +741,49 @@ mod tests {
     use hcloud_cloud::InstanceType;
 
     #[test]
-    fn table3_matrix() {
-        use StrategyKind::*;
-        assert!(StaticReserved.uses_reserved() && !StaticReserved.uses_on_demand());
-        assert!(!OnDemandFull.uses_reserved() && OnDemandFull.uses_on_demand());
-        assert!(!OnDemandMixed.uses_reserved() && OnDemandMixed.uses_on_demand());
-        assert!(HybridFull.uses_reserved() && HybridFull.uses_on_demand());
-        assert!(HybridMixed.uses_reserved() && HybridMixed.uses_on_demand());
-    }
-
-    #[test]
-    fn full_only_flags() {
-        use StrategyKind::*;
-        assert!(OnDemandFull.on_demand_full_only());
-        assert!(HybridFull.on_demand_full_only());
-        assert!(!OnDemandMixed.on_demand_full_only());
-        assert!(!HybridMixed.on_demand_full_only());
+    fn caps_are_table3_rows() {
+        use OnDemand::*;
+        // (id, short name, Table 3 row, hybrid, noisy profiling)
+        let expected = [
+            ("static-reserved", "SR", true, None, false, false),
+            ("on-demand-full", "OdF", false, FullServers, false, false),
+            ("on-demand-mixed", "OdM", false, AnySize, false, true),
+            ("hybrid-full", "HF", true, FullServers, true, false),
+            ("hybrid-mixed", "HM", true, AnySize, true, false),
+            ("reservation-autoscale", "RA", true, AnySize, true, false),
+            ("queueing-capacity", "QC", true, AnySize, true, false),
+        ];
+        let all = StrategyRegistry::builtin().all();
+        assert_eq!(all.len(), expected.len());
+        for (s, &(id, short, reserved, on_demand, hybrid, noisy)) in all.iter().zip(&expected) {
+            assert_eq!((s.id(), s.short_name()), (id, short));
+            assert_eq!(
+                s.caps(),
+                StrategyCaps {
+                    reserved,
+                    on_demand
+                },
+                "{id}"
+            );
+            assert_eq!(s.caps().hybrid(), hybrid, "{id}");
+            assert_eq!(s.caps().noisy_profiling(), noisy, "{id}");
+        }
     }
 
     #[test]
     fn names_match_paper() {
-        let names: Vec<&str> = StrategyKind::ALL.iter().map(|s| s.short_name()).collect();
+        let names: Vec<&str> = StrategyId::PAPER.iter().map(|s| s.short_name()).collect();
         assert_eq!(names, vec!["SR", "OdF", "OdM", "HF", "HM"]);
     }
 
     #[test]
-    fn hybrids_identified() {
-        assert!(StrategyKind::HybridFull.is_hybrid());
-        assert!(!StrategyKind::StaticReserved.is_hybrid());
-    }
-
-    #[test]
-    fn trait_flags_match_enum_flags() {
-        for kind in StrategyKind::ALL {
-            let r = StrategyRef::from(kind);
-            assert_eq!(r.uses_reserved(), kind.uses_reserved(), "{kind}");
-            assert_eq!(r.uses_on_demand(), kind.uses_on_demand(), "{kind}");
-            assert_eq!(
-                r.on_demand_full_only(),
-                kind.on_demand_full_only(),
-                "{kind}"
-            );
-            assert_eq!(r.is_hybrid(), kind.is_hybrid(), "{kind}");
-            assert_eq!(r.profiles_noisily(), kind == StrategyKind::OnDemandMixed);
-            assert_eq!(r.short_name(), kind.short_name());
-            assert_eq!(r.kind(), Some(kind));
-            assert_eq!(r, kind);
-            assert_eq!(kind, r);
+    fn paper_ids_resolve_to_the_first_five_registry_entries() {
+        let all = StrategyRegistry::builtin().all();
+        for (id, s) in StrategyId::PAPER.iter().zip(all) {
+            assert_eq!(&StrategyRef::from(*id), s);
         }
+        assert_eq!(StrategyRef::from(StrategyId::RA), all[5]);
+        assert_eq!(StrategyRef::from(StrategyId::QC), all[6]);
     }
 
     #[test]
@@ -922,14 +844,10 @@ mod tests {
 
     #[test]
     fn new_strategies_are_hybrids_with_mixed_on_demand() {
-        for id in ["reservation-autoscale", "queueing-capacity"] {
-            let s = StrategyRegistry::builtin().get(id).unwrap();
-            assert!(s.uses_reserved(), "{id}");
-            assert!(s.uses_on_demand(), "{id}");
-            assert!(!s.on_demand_full_only(), "{id}");
-            assert!(s.is_hybrid(), "{id}");
-            assert!(!s.profiles_noisily(), "{id}");
-            assert!(s.kind().is_none(), "{id}");
+        for id in [StrategyId::RA, StrategyId::QC] {
+            let s = StrategyRef::from(id);
+            assert_eq!(s.caps(), MIXED_HYBRID, "{id}");
+            assert!(!StrategyId::PAPER.contains(&id), "{id}");
         }
     }
 
@@ -942,7 +860,7 @@ mod tests {
             overprovision: 0.15,
             overprovision_unprofiled: 0.30,
         };
-        let sr = StrategyRef::from(StrategyKind::StaticReserved);
+        let sr = StrategyRef::from(StrategyId::SR);
         assert_eq!(sr.reserved_cores(&ctx), (885.0f64 * 1.15).ceil() as u32);
         let unprofiled = ReservedSizingCtx {
             profiling: false,
@@ -952,22 +870,10 @@ mod tests {
             sr.reserved_cores(&unprofiled),
             (885.0f64 * 1.30).ceil() as u32
         );
-        assert_eq!(
-            StrategyRef::from(StrategyKind::HybridMixed).reserved_cores(&ctx),
-            603
-        );
-        assert_eq!(
-            StrategyRef::from(StrategyKind::OnDemandMixed).reserved_cores(&ctx),
-            0
-        );
+        assert_eq!(StrategyRef::from(StrategyId::HM).reserved_cores(&ctx), 603);
+        assert_eq!(StrategyRef::from(StrategyId::ODM).reserved_cores(&ctx), 0);
         // The new strategies size like the hybrids.
-        assert_eq!(
-            StrategyRegistry::builtin()
-                .get("reservation-autoscale")
-                .unwrap()
-                .reserved_cores(&ctx),
-            603
-        );
+        assert_eq!(StrategyRef::from(StrategyId::RA).reserved_cores(&ctx), 603);
     }
 
     #[test]
@@ -1086,7 +992,7 @@ mod tests {
 
     #[test]
     fn default_retention_matches_paper_rules() {
-        let sr = StrategyRef::from(StrategyKind::HybridMixed);
+        let sr = StrategyRef::from(StrategyId::HM);
         let sr = sr.fresh_run();
         let base = RetentionCtx {
             spin_up: SimDuration::from_secs(20),

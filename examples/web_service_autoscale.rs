@@ -11,7 +11,7 @@
 
 use hcloud::{
     runner::{run_scenario, AuditViolation, RunCtx},
-    RunConfig, StrategyKind,
+    RunConfig, StrategyId,
 };
 use hcloud_pricing::{PricingModel, Rates};
 use hcloud_sim::dist::{LogNormal, Sample};
@@ -96,7 +96,7 @@ fn main() -> Result<(), AuditViolation> {
 
     let rates = Rates::default();
     let pricing = PricingModel::aws();
-    for strategy in [StrategyKind::HybridFull, StrategyKind::OnDemandFull] {
+    for strategy in [StrategyId::HF, StrategyId::ODF] {
         let result = run_scenario(&scenario, &RunConfig::new(strategy), &RunCtx::new(&factory))?;
         let lc = result.lc_latency_boxplot().expect("memcached present");
         let cost = result.cost(&rates, &pricing);

@@ -19,3 +19,8 @@ pub use hcloud_pricing;
 pub use hcloud_quasar;
 pub use hcloud_sim;
 pub use hcloud_workloads;
+
+/// The README's Rust snippets, compiled as doctests so they cannot rot.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
