@@ -42,7 +42,7 @@ fn fleet_fast_digests_are_identical_across_worker_counts() {
         "HCLOUD_JOBS=1 and 4 must be byte-identical"
     );
     assert_eq!(
-        digests[0][0], "1bc1579abdfea0db",
+        digests[0][0], "9846a9c33d478bff",
         "seed-42 digest is pinned to the committed BENCH_fleet_fast.json golden"
     );
 }

@@ -75,7 +75,9 @@ pub struct RunCounters {
     /// Total gigabytes moved across the inter-cluster link.
     pub data_transferred_gb: f64,
     /// Events processed by the discrete-event loop — the experiment
-    /// engine's per-run work telemetry.
+    /// engine's per-run work telemetry. An engine counter, not an
+    /// outcome: it is not part of the run digest, and dropping events
+    /// that nothing acts on lowers it without changing any result.
     pub events_processed: usize,
     /// Spin-up attempts abandoned after exceeding the hard timeout
     /// (fault injection).
