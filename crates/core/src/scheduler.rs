@@ -2303,6 +2303,12 @@ impl<'a> Scheduler<'a> {
 
     /// Periodic monitoring: quality sampling, progress re-projection,
     /// QoS actions, feedback loops.
+    ///
+    /// Driver contract: after handling a `Tick` at `t`, the driver
+    /// schedules the next one at `t + monitor_interval` while
+    /// `t < last_arrival || pending_jobs() > 0`. The batch re-projection
+    /// relies on it: a running job guarantees the next tick, so a
+    /// projected finish beyond it is never scheduled.
     pub fn on_tick(
         &mut self,
         now: SimTime,
@@ -2505,7 +2511,15 @@ impl<'a> Scheduler<'a> {
                     self.auditor
                         .tenant_work_executed(now, tenant, jid.0, executed);
                 }
-                events.schedule(finish, Event::Finish(jid, v));
+                // A projection past the next tick is superseded unread:
+                // this job keeps `pending_jobs() > 0`, so the driver
+                // schedules that tick, whose `update_job` bumps the
+                // version (and a removal in between drops the job). A
+                // finish exactly at the next tick carries the lower
+                // sequence number and fires before it, so it is kept.
+                if finish <= now + self.config.monitor_interval {
+                    events.schedule(finish, Event::Finish(jid, v));
+                }
             }
             JobKind::LatencyCritical { offered_rps, .. } => {
                 let rho = self.latency_model.utilization(offered_rps, cores, slowdown);
@@ -3685,6 +3699,146 @@ mod tests {
         assert!(!sched.running_by_id.contains_key(&JobId(0)));
         assert_co_memos_fresh(&sched);
         assert_eq!(sched.co_memo.len(), 0, "the victim's memo is gone");
+    }
+
+    // ------------------------------------------------------------------
+    // Superseded Finish projections
+    // ------------------------------------------------------------------
+
+    /// An event queue that also keeps a ledger of what is pending, so a
+    /// test can ask which events are in flight.
+    #[derive(Default)]
+    struct RecordingSink {
+        queue: EventQueue<Event>,
+        pending: Vec<(SimTime, Event)>,
+    }
+
+    impl EventSink<Event> for RecordingSink {
+        fn schedule(&mut self, at: SimTime, event: Event) -> hcloud_sim::event::EventToken {
+            self.pending.push((at, event));
+            self.queue.schedule(at, event)
+        }
+    }
+
+    impl RecordingSink {
+        fn pop(&mut self) -> Option<(SimTime, Event)> {
+            let popped = self.queue.pop()?;
+            let i = self
+                .pending
+                .iter()
+                .position(|&p| p == popped)
+                .expect("every popped event was recorded");
+            self.pending.remove(i);
+            Some(popped)
+        }
+    }
+
+    /// Checks, right after the tick at `now` and the driver's reschedule,
+    /// that every started batch job either has its current `Finish`
+    /// pending at most one interval out, or projects past the next tick
+    /// with that tick pending. Returns how many jobs took each branch.
+    fn assert_projections_covered(
+        sched: &mut Scheduler<'_>,
+        sink: &RecordingSink,
+        now: SimTime,
+    ) -> (usize, usize) {
+        let next_tick = now + sched.config.monitor_interval;
+        let tick_pending = sink.pending.contains(&(next_tick, Event::Tick));
+        let jobs: Vec<(JobId, SlotKey)> = sched
+            .running_by_id
+            .iter()
+            .map(|(&jid, &key)| (jid, key))
+            .collect();
+        let (mut scheduled, mut superseded) = (0, 0);
+        for (jid, key) in jobs {
+            let job = sched.running.get(key).expect("live");
+            let spec = &sched.scenario.jobs()[job.spec_idx];
+            if !job.started || !matches!(spec.kind, JobKind::Batch { .. }) {
+                continue;
+            }
+            let finish = Event::Finish(jid, job.finish_version);
+            let eff = job.cores.min(spec.cores).max(1) as f64;
+            let remaining = job.remaining_work;
+            if let Some(&(at, _)) = sink.pending.iter().find(|&&(_, e)| e == finish) {
+                assert!(
+                    at <= next_tick,
+                    "job {} at {now:?}: Finish pending at {at:?}, past the next tick",
+                    jid.0
+                );
+                scheduled += 1;
+            } else {
+                let slowdown = sched.current_slowdown(jid, key, now);
+                let projected = now + SimDuration::from_secs_f64(remaining * slowdown / eff);
+                assert!(
+                    projected > next_tick,
+                    "job {} at {now:?}: projected {projected:?} but no Finish pending",
+                    jid.0
+                );
+                assert!(
+                    tick_pending,
+                    "job {} at {now:?}: no Finish and no next tick pending",
+                    jid.0
+                );
+                superseded += 1;
+            }
+        }
+        (scheduled, superseded)
+    }
+
+    /// Drives a mixed batch/LC scenario to completion the way the runner
+    /// does, checking the projection invariant after every tick. Profiling
+    /// is off so no in-tick move (local boost, consolidation) changes a
+    /// job's slowdown after its re-projection: the check recomputes the
+    /// same projection the tick made.
+    #[test]
+    fn every_running_batch_job_has_a_live_finish_or_a_next_tick() {
+        let scenario = Scenario::generate(
+            ScenarioConfig::scaled(ScenarioKind::HighVariability, 0.03, 10),
+            &RngFactory::new(11),
+        );
+        assert!(scenario
+            .jobs()
+            .iter()
+            .any(|j| matches!(j.kind, JobKind::LatencyCritical { .. })));
+        for strategy in [StrategyId::SR, StrategyId::HM] {
+            let config = RunConfig::new(strategy).without_profiling();
+            let (mut sched, _) = scheduler(&scenario, &config);
+            let mut sink = RecordingSink::default();
+            for job in scenario.jobs() {
+                sink.schedule(job.arrival, Event::Arrival(job.id));
+            }
+            let last_arrival = scenario.jobs().last().map_or(SimTime::ZERO, |j| j.arrival);
+            sink.schedule(SimTime::ZERO, Event::Tick);
+            let (mut scheduled, mut superseded) = (0, 0);
+            let mut end = SimTime::ZERO;
+            while let Some((t, event)) = sink.pop() {
+                end = t;
+                match event {
+                    Event::Arrival(id) => sched.on_arrival(id, t, &mut sink).unwrap(),
+                    Event::Start(jid) => sched.on_start(jid, t, &mut sink),
+                    Event::Finish(jid, v) => sched.on_finish(jid, v, t, &mut sink).unwrap(),
+                    Event::Retention(h, token) => sched.on_retention(h, token, t),
+                    Event::SpotTermination(h) => {
+                        sched.on_spot_termination(h, t, &mut sink).unwrap()
+                    }
+                    Event::Tick => {
+                        sched.on_tick(t, &mut sink).unwrap();
+                        if t < last_arrival || sched.pending_jobs() > 0 {
+                            sink.schedule(t + config.monitor_interval, Event::Tick);
+                        }
+                        let (s, d) = assert_projections_covered(&mut sched, &sink, t);
+                        scheduled += s;
+                        superseded += d;
+                    }
+                }
+            }
+            let result = sched.into_result(end);
+            assert_eq!(result.outcomes.len(), scenario.jobs().len(), "{strategy:?}");
+            assert!(
+                scheduled > 0 && superseded > 0,
+                "{strategy:?}: both branches exercised ({scheduled} scheduled, {superseded} superseded)"
+            );
+        }
     }
 
     #[test]
